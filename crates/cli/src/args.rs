@@ -65,6 +65,16 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
+    /// Whether `--name` was given, as a flag or with a value.
+    pub fn has(&self, name: &str) -> bool {
+        self.options.contains_key(name) || self.flag(name)
+    }
+
+    /// Every option and flag given: valued options first, by name.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Raw option value.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.options.get(name).map(String::as_str)
@@ -115,8 +125,8 @@ impl Args {
     /// Rejects unknown options/flags (call after reading all expected
     /// ones).
     pub fn ensure_known(&self, known: &[&str]) -> Result<(), ArgError> {
-        for key in self.options.keys().chain(self.flags.iter()) {
-            if !known.contains(&key.as_str()) {
+        for key in self.keys() {
+            if !known.contains(&key) {
                 return Err(ArgError(format!(
                     "unknown option --{key} (expected one of: {})",
                     known.join(", ")

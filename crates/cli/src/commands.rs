@@ -8,16 +8,16 @@ use sp_core::model::faults::FaultPlan;
 use sp_core::model::overload::OverloadPolicy;
 use sp_core::model::repair::RepairPolicy;
 use sp_core::model::scenario::ScenarioPlan;
-use sp_core::model::snapshot::{SnapReader, ENGINE_FAST, ENGINE_REFERENCE, ENGINE_SCALE};
+use sp_core::model::snapshot::{SnapReader, SnapshotError, ENGINE_FAST, ENGINE_SCALE};
 use sp_core::model::trials::{resolve_thread_budget, TrialOptions};
 use sp_core::report::{ci, sci, Table};
 use sp_core::sim::campaign::{run_campaign_with, CampaignOptions, CampaignResume};
 use sp_core::sim::engine::{RawMetrics, SimOptions, Simulation};
-use sp_core::sim::reference::ReferenceSimulation;
 use sp_core::sim::scenario::{
-    crash_storm, crash_storm_trials, reliability, steady_trials, SimReport, SimTrialOptions,
+    crash_storm, crash_storm_trials, reliability, steady_trials, CrashStormReport, SimReport,
+    SimTrialOptions,
 };
-use sp_core::sim::shard::{ScaleDiag, ScaleMetrics, ScaleOptions, ShardFailure, ShardedSimulation};
+use sp_core::sim::shard::{ScaleMetrics, ScaleOptions, ShardFailure, ShardedSimulation};
 use sp_core::{Load, NetworkBuilder};
 
 use crate::args::{ArgError, Args};
@@ -60,17 +60,6 @@ fn threads_from(args: &Args) -> Result<usize, ArgError> {
     threads_from_parts(args.get("threads"), std::env::var("SP_THREADS").ok())
 }
 
-/// Resolves `--shards N` for the scale engine: absent means one shard
-/// per available core; an explicit value must be a positive integer
-/// (the engine clamps to the cluster count). Like `--threads`, the
-/// shard count never changes the reported numbers.
-fn shards_from(args: &Args) -> Result<usize, ArgError> {
-    match args.get("shards") {
-        None => Ok(resolve_thread_budget(0)),
-        Some(s) => positive_count("--shards", s),
-    }
-}
-
 /// Parses `--inject-shard-panic S:T` into the scale engine's panic
 /// injection hook: shard index `S` panics at tick `T`.
 fn shard_panic_from(args: &Args) -> Result<Option<(usize, u32)>, ArgError> {
@@ -90,42 +79,26 @@ fn shard_panic_from(args: &Args) -> Result<Option<(usize, u32)>, ArgError> {
     })
 }
 
-/// Validates the checkpoint options shared by the fast and scale
-/// single-run paths: `--checkpoint-every` must be a positive number
-/// and `--checkpoint-dir` is inert without it.
+/// Reads `--checkpoint-every N`, a positive interval; `--checkpoint-dir`
+/// is inert without it.
 fn checkpoint_every_from(args: &Args) -> Result<Option<f64>, CliError> {
-    let every = match args.get("checkpoint-every") {
-        None => {
-            if args.get("checkpoint-dir").is_some() {
-                return Err(CliError::Usage(
-                    "--checkpoint-dir only names where --checkpoint-every writes; \
-                     add --checkpoint-every N"
-                        .into(),
-                ));
-            }
-            return Ok(None);
+    if !args.has("checkpoint-every") {
+        if args.has("checkpoint-dir") {
+            return Err(CliError::Usage(
+                "--checkpoint-dir only names where --checkpoint-every writes; \
+                 add --checkpoint-every N"
+                    .into(),
+            ));
         }
-        Some(v) => v
-            .parse::<f64>()
-            .map_err(|_| CliError::Usage(format!("--checkpoint-every: cannot parse {v:?}")))?,
-    };
-    if every <= 0.0 || !every.is_finite() {
-        return Err(CliError::Usage(
-            "--checkpoint-every: must be a positive interval".into(),
-        ));
+        return Ok(None);
     }
-    Ok(Some(every))
-}
-
-/// Writes sequence-numbered `checkpoint-NNNNNN.snap` files, creating
-/// the directory on first use.
-fn write_checkpoint(dir: &str, seq: usize, data: &[u8]) -> Result<std::path::PathBuf, CliError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CliError::Runtime(format!("--checkpoint-dir: cannot create {dir:?}: {e}")))?;
-    let path = std::path::Path::new(dir).join(format!("checkpoint-{seq:06}.snap"));
-    std::fs::write(&path, data)
-        .map_err(|e| CliError::Runtime(format!("cannot write checkpoint {path:?}: {e}")))?;
-    Ok(path)
+    let every = args.get_or("checkpoint-every", 0.0f64)?;
+    if every > 0.0 && every.is_finite() {
+        return Ok(Some(every));
+    }
+    Err(CliError::Usage(
+        "--checkpoint-every: must be a positive interval".into(),
+    ))
 }
 
 /// Maps a supervised shard failure to exit 1 with the full diagnostic
@@ -134,49 +107,54 @@ fn shard_failure(f: ShardFailure) -> CliError {
     CliError::Runtime(format!("{f}\n{}", f.diagnostic()))
 }
 
-/// Resolves `--repair POLICY` (default `off`). Repair only engages on
-/// fault-injected crashes, so the flag is inert without `--faults` or
-/// `--crash-storm`.
-fn repair_from(args: &Args) -> Result<RepairPolicy, ArgError> {
-    match args.get("repair") {
-        None => Ok(RepairPolicy::Off),
-        Some(s) => RepairPolicy::parse(s).ok_or_else(|| {
-            ArgError(format!(
-                "--repair: unknown policy {s:?} (expected off, promote, or promote+partner)"
-            ))
-        }),
-    }
+/// Parses the JSON file that `--{key}` names, if given. An unreadable
+/// file is a runtime failure (exit 1); a malformed one becomes `bad`,
+/// so each option keeps its own exit code.
+fn json_file<T, E: std::fmt::Display>(
+    args: &Args,
+    key: &str,
+    parse: fn(&str) -> Result<T, E>,
+    bad: fn(String) -> CliError,
+) -> Result<Option<T>, CliError> {
+    let Some(path) = args.get(key) else {
+        return Ok(None);
+    };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Runtime(format!("--{key}: cannot read {path:?}: {e}")))?;
+    parse(&text)
+        .map(Some)
+        .map_err(|e| bad(format!("--{key}: {path}: {e}")))
 }
 
 /// Resolves the overload-control options: `--overload` picks the
 /// capacity-sized preset, `--overload-policy P` reads an explicit
-/// [`OverloadPolicy`] JSON. `None` means the subsystem stays disabled
-/// (bitwise inert). Setting both, or naming a policy file that parses
-/// to the empty policy, is a usage error (exit 2).
-fn overload_from(args: &Args, cfg: &Config) -> Result<Option<OverloadPolicy>, CliError> {
+/// [`OverloadPolicy`] JSON. The empty policy leaves the subsystem
+/// disabled (bitwise inert). Setting both, or naming a policy file that
+/// parses to the empty policy, is a usage error (exit 2).
+fn overload_from(args: &Args, cfg: &Config) -> Result<OverloadPolicy, CliError> {
     let preset = args.flag("overload");
-    let path = args.get("overload-policy");
-    if preset && path.is_some() {
+    if preset && args.has("overload-policy") {
         return Err(CliError::Usage(
             "--overload selects the capacity-sized preset; drop it when \
              --overload-policy names an explicit policy"
                 .into(),
         ));
     }
-    let Some(path) = path else {
-        return Ok(preset.then(|| OverloadPolicy::sized_for(cfg)));
-    };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Runtime(format!("--overload-policy: cannot read {path:?}: {e}")))?;
-    let policy = OverloadPolicy::from_json(&text)
-        .map_err(|e| CliError::Usage(format!("--overload-policy: {path}: {e}")))?;
-    if policy.is_empty() {
-        return Err(CliError::Usage(format!(
-            "--overload-policy: {path} is the empty policy (service_rate 0); \
-             drop the flag to run without overload control"
-        )));
+    match json_file(
+        args,
+        "overload-policy",
+        OverloadPolicy::from_json,
+        CliError::Usage,
+    )? {
+        None if preset => Ok(OverloadPolicy::sized_for(cfg)),
+        None => Ok(OverloadPolicy::default()),
+        Some(policy) if policy.is_empty() => Err(CliError::Usage(format!(
+            "--overload-policy: {} is the empty policy (service_rate 0); \
+             drop the flag to run without overload control",
+            args.get("overload-policy").unwrap_or_default()
+        ))),
+        Some(policy) => Ok(policy),
     }
-    Ok(Some(policy))
 }
 
 /// Builds a [`Config`] from the shared topology options.
@@ -538,834 +516,694 @@ pub fn design_cmd(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `spnet simulate` — event-driven steady state (or reliability
-/// comparison with `--reliability`).
-///
-/// `--trials N` (N > 1) fans independent trials out over `--threads`
-/// workers and reports mean ± 95% CI; results are bitwise identical at
-/// any thread count. `--metrics-json PATH` runs a single profiled
-/// trial and writes the engine's run manifest (event counts, queue
-/// high water, per-event-kind wall histograms) as JSON.
-///
-/// `--faults PLAN.json` injects a [`FaultPlan`] into a single run;
-/// `--fault-seed` reseeds only the dedicated fault RNG stream.
-/// `--crash-storm` runs the canonical crash-storm plan against k = 1
-/// and k = 2 and compares lost queries and recovery paths.
-/// `--repair off|promote|promote+partner` selects the self-healing
-/// policy applied to fault-injected super-peer crashes (Section 5.3
-/// election + optional k-redundancy partner recruitment).
-pub fn simulate(args: &Args) -> Result<String, CliError> {
-    if let Some(text) = SIMULATE_USAGE.gate(args)? {
-        return Ok(text);
-    }
-    if let Some(path) = args.get("resume") {
-        return simulate_resume(args, path);
-    }
-    let mut cfg = config_from(args)?;
-    if let Some(lifespan) = args.get("lifespan") {
-        cfg.population.lifespan_mean_secs = lifespan
-            .parse()
-            .map_err(|_| ArgError(format!("--lifespan: cannot parse {lifespan:?}")))?;
-    }
-    let duration = args.get_or("duration", 3600.0f64)?;
-    let seed = args.get_or("seed", 42u64)?;
-    let trials = args.get_or("trials", 1usize)?;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials: need at least one trial".into()));
-    }
-    // Validate the budget up front: single-run paths never consult it,
-    // but `--threads 0` must still be a usage error, not dead weight.
-    let threads = threads_from(args)?;
-    let metrics_json = args.get("metrics-json");
-    // The fault stream defaults to the run seed so `--seed` alone still
-    // names a fully reproducible faulted run.
-    let fault_seed = args.get_or("fault-seed", seed)?;
-    let repair = repair_from(args)?;
-    let plan = match args.get("faults") {
-        None => FaultPlan::default(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Runtime(format!("--faults: cannot read {path:?}: {e}")))?;
-            FaultPlan::from_json(&text)
-                .map_err(|e| CliError::Runtime(format!("--faults: {path}: {e}")))?
-        }
-    };
-    // A scenario file is self-contained (phases, capacity classes,
-    // embedded fault plan, repair policy), so everything that would
-    // override part of it is an explicit conflict. An unreadable file
-    // is a runtime failure; an invalid plan is the caller's fault
-    // (exit 2), matching the workspace exit-code convention.
-    let scenario = match args.get("scenario") {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Runtime(format!("--scenario: cannot read {path:?}: {e}")))?;
-            Some(
-                ScenarioPlan::from_json(&text)
-                    .map_err(|e| CliError::Usage(format!("--scenario: {path}: {e}")))?,
-            )
-        }
-    };
-    if scenario.is_some() {
-        if !plan.is_empty() {
-            return Err(CliError::Usage(
-                "--scenario embeds its own fault plan; drop --faults".into(),
-            ));
-        }
-        if args.get("repair").is_some() {
-            return Err(CliError::Usage(
-                "--scenario sets the repair policy; drop --repair".into(),
-            ));
-        }
-        if args.flag("crash-storm") || args.flag("reliability") || args.flag("scale") {
-            return Err(CliError::Usage(
-                "--scenario drives a single run; it cannot be combined with \
-                 --crash-storm, --reliability, or --scale"
-                    .into(),
-            ));
-        }
-        if trials > 1 {
-            return Err(CliError::Usage(
-                "--scenario describes a single run; use --trials 1 \
-                 (or `spnet campaign` for seeded scenario fleets)"
-                    .into(),
-            ));
-        }
-    }
-    if args.get("scenario-seed").is_some() && scenario.is_none() {
-        return Err(CliError::Usage(
-            "--scenario-seed only reseeds a --scenario run; add --scenario PLAN".into(),
-        ));
-    }
-    let overload = overload_from(args, &cfg)?;
-    if overload.is_some() {
-        if scenario.is_some() {
-            return Err(CliError::Usage(
-                "--scenario carries its own overload policy; drop \
-                 --overload/--overload-policy"
-                    .into(),
-            ));
-        }
-        if args.flag("reliability") || args.flag("crash-storm") {
-            return Err(CliError::Usage(
-                "--overload drives a single engine run; it cannot be combined \
-                 with --reliability or --crash-storm"
-                    .into(),
-            ));
-        }
-        if trials > 1 {
-            return Err(CliError::Usage(
-                "--overload describes a single run; use --trials 1".into(),
-            ));
-        }
-    }
-    let scenario_seed = args.get_or("scenario-seed", seed)?;
-    let checkpoint_every = checkpoint_every_from(args)?;
-    if checkpoint_every.is_some()
-        && (trials > 1 || args.flag("reliability") || args.flag("crash-storm"))
-    {
-        return Err(CliError::Usage(
-            "--checkpoint-every checkpoints a single run; it cannot be combined \
-             with --trials, --reliability, or --crash-storm"
-                .into(),
-        ));
-    }
-    if args.flag("scale") {
-        return simulate_scale(
-            args,
-            &mut cfg,
-            duration,
-            seed,
-            fault_seed,
-            &plan,
-            metrics_json,
-            checkpoint_every,
-            overload.unwrap_or_default(),
-        );
-    }
-    if args.get("shards").is_some() {
-        return Err(CliError::Usage(
-            "--shards selects the sharded scale engine; add --scale".into(),
-        ));
-    }
-    if args.get("barrier-timeout-ticks").is_some() || args.get("inject-shard-panic").is_some() {
-        return Err(CliError::Usage(
-            "--barrier-timeout-ticks and --inject-shard-panic supervise the \
-             sharded scale engine; add --scale"
-                .into(),
-        ));
-    }
-    if args.flag("crash-storm") {
-        if !plan.is_empty() {
-            return Err(CliError::Usage(
-                "--crash-storm runs its canonical built-in plan; drop --faults".into(),
-            ));
-        }
-        if args.flag("reliability") || metrics_json.is_some() {
-            return Err(CliError::Usage(
-                "--crash-storm cannot be combined with --reliability or --metrics-json".into(),
-            ));
-        }
-        if trials > 1 {
-            let s = crash_storm_trials(
-                &cfg,
-                duration,
-                &SimTrialOptions {
-                    trials,
-                    seed,
-                    threads,
-                    repair,
-                    ..Default::default()
-                },
-            );
-            let mut t = Table::new(vec!["Metric", "k = 1", "k = 2"]);
-            t.row(vec!["queries lost".into(), ci(&s.lost_k1), ci(&s.lost_k2)]);
-            t.row(vec![
-                "availability".into(),
-                ci(&s.availability_k1),
-                ci(&s.availability_k2),
-            ]);
-            t.row(vec![
-                "min reachable since storm".into(),
-                ci(&s.min_reachable_k1),
-                ci(&s.min_reachable_k2),
-            ]);
-            return Ok(format!(
-                "{trials} crash-storm trials (repair {repair})\n\n{}",
-                t.render()
-            ));
-        }
-        let c = crash_storm(&cfg, duration, seed, fault_seed, repair);
-        let mut t = Table::new(vec!["Metric", "k = 1", "k = 2"]);
-        let count = |f: fn(&sp_core::sim::scenario::CrashStormReport) -> u64,
-                     t: &mut Table,
-                     label: &str| {
-            t.row(vec![
-                label.into(),
-                f(&c.k1).to_string(),
-                f(&c.k2).to_string(),
-            ]);
-        };
-        count(|r| r.queries_issued, &mut t, "queries issued");
-        count(|r| r.queries_lost, &mut t, "queries lost");
-        count(|r| r.recovered_retry, &mut t, "recovered by retry");
-        count(|r| r.recovered_failover, &mut t, "recovered by failover");
-        count(|r| r.injected_crash, &mut t, "super-peers crashed");
-        count(|r| r.cluster_failures, &mut t, "cluster failures");
-        count(|r| r.orphan_events, &mut t, "clients orphaned");
-        count(|r| r.orphan_gave_up, &mut t, "orphans gave up");
-        count(|r| r.repair_promotions, &mut t, "repair promotions");
-        count(
-            |r| r.repair_partner_recruitments,
-            &mut t,
-            "partner recruitments",
-        );
-        count(|r| r.repair_abandoned, &mut t, "clusters abandoned");
-        t.row(vec![
-            "availability".into(),
-            format!("{:.4}", c.k1.availability),
-            format!("{:.4}", c.k2.availability),
-        ]);
-        t.row(vec![
-            "mean reconnect (s)".into(),
-            format!("{:.1}", c.k1.mean_reconnect_secs),
-            format!("{:.1}", c.k2.mean_reconnect_secs),
-        ]);
-        t.row(vec![
-            "min reachable since storm".into(),
-            format!("{:.4}", c.k1.min_reachable_since_storm),
-            format!("{:.4}", c.k2.min_reachable_since_storm),
-        ]);
-        t.row(vec![
-            "final components".into(),
-            c.k1.final_components.to_string(),
-            c.k2.final_components.to_string(),
-        ]);
-        // One flat line per k for scripted smoke checks (CI greps
-        // these; the table layout above is free to change).
-        let smoke = |label: &str, r: &sp_core::sim::scenario::CrashStormReport| {
-            format!(
-                "repair {repair} {label}: final components {}, orphans gave up {}",
-                r.final_components, r.orphan_gave_up
-            )
-        };
-        return Ok(format!(
-            "{}\n{}\n{}",
-            t.render(),
-            smoke("k=1", &c.k1),
-            smoke("k=2", &c.k2)
-        ));
-    }
-    if args.flag("reliability") {
-        if metrics_json.is_some() {
-            return Err(CliError::Usage(
-                "--metrics-json describes a single steady-state run; \
-                 it cannot be combined with --reliability"
-                    .into(),
-            ));
-        }
-        if trials > 1 {
-            return Err(CliError::Usage(
-                "--trials is only supported for the steady-state scenario \
-                 (drop --reliability)"
-                    .into(),
-            ));
-        }
-        if !plan.is_empty() {
-            return Err(CliError::Usage(
-                "--reliability runs its own churn comparison; drop --faults".into(),
-            ));
-        }
-        let c = reliability(&cfg, duration, seed);
-        let mut t = Table::new(vec!["Metric", "k = 1", "k = 2"]);
-        t.row(vec![
-            "availability".into(),
-            format!("{:.4}", c.availability_k1),
-            format!("{:.4}", c.availability_k2),
-        ]);
-        t.row(vec![
-            "cluster failures".into(),
-            c.failures_k1.to_string(),
-            c.failures_k2.to_string(),
-        ]);
-        t.row(vec![
-            "mean downtime (s)".into(),
-            format!("{:.1}", c.downtime_k1),
-            format!("{:.1}", c.downtime_k2),
-        ]);
-        return Ok(t.render());
-    }
-    if trials > 1 {
-        if metrics_json.is_some() {
-            return Err(CliError::Usage(
-                "--metrics-json describes a single run; use --trials 1".into(),
-            ));
-        }
-        if !plan.is_empty() {
-            return Err(CliError::Usage(
-                "--faults describes a single run; use --trials 1 \
-                 (or --crash-storm --trials N for the built-in plan)"
-                    .into(),
-            ));
-        }
-        let s = steady_trials(
-            &cfg,
-            duration,
-            &SimTrialOptions {
-                trials,
-                seed,
-                threads,
-                repair,
-                ..Default::default()
-            },
-        );
-        let mut t = Table::new(vec!["Metric", "Mean ± 95% CI"]);
-        t.row(vec!["availability".into(), ci(&s.availability)]);
-        t.row(vec!["results per query".into(), ci(&s.results_per_query)]);
-        t.row(vec!["super-peer total bw (bps)".into(), ci(&s.sp_total_bw)]);
-        return Ok(format!("{trials} trials\n\n{}", t.render()));
-    }
-    // Single run: drive the engine directly so the run manifest (event
-    // counts, queue high water, wall histograms, fault counters) can be
-    // captured alongside the standard report. An empty plan is bitwise
-    // inert, so the unfaulted path is unchanged. A scenario run takes
-    // its fault plan and repair policy from the scenario file.
-    let opts = SimOptions {
-        duration_secs: duration,
-        seed,
-        fault_seed,
-        scenario_seed,
-        profile: metrics_json.is_some(),
-        repair,
-        overload: overload.unwrap_or_default(),
-        ..Default::default()
-    };
-    let mut sim = match &scenario {
-        Some(sc) => Simulation::with_scenario(&cfg, opts, sc),
-        None => Simulation::with_faults(&cfg, opts, &plan),
-    };
-    let start = std::time::Instant::now();
-    if let Some(every) = checkpoint_every {
-        let dir = args.get("checkpoint-dir").unwrap_or("checkpoints");
-        let mut seq = 0usize;
-        let mut at = every;
-        while at < duration {
-            sim.run_to(at);
-            write_checkpoint(dir, seq, &sim.snapshot())?;
-            seq += 1;
-            at += every;
-        }
-    }
-    let raw = sim.run();
-    if let Some(path) = metrics_json {
-        let manifest = sim.manifest(start.elapsed().as_secs_f64());
-        std::fs::write(path, manifest.to_json()).map_err(|e| {
-            CliError::Runtime(format!("--metrics-json: cannot write {path:?}: {e}"))
-        })?;
-    }
-    let fm = raw.faults.clone();
-    let rm = raw.repair.clone();
-    let om = raw.overload.clone();
-    // Effective policy: a scenario's embedded policy wins (the CLI
-    // flags conflict with --scenario above), else the flag-derived one.
-    let effective_overload = scenario
-        .as_ref()
-        .map(|sc| sc.overload)
-        .filter(|p| !p.is_empty())
-        .or(overload)
-        .unwrap_or_default();
-    let r = SimReport::from_raw(raw);
-    let mut t = Table::new(vec!["Metric", "Value"]);
-    t.row(vec!["queries simulated".into(), r.queries.to_string()]);
-    t.row(vec![
-        "results per query".into(),
-        format!("{:.1}", r.results_per_query),
-    ]);
-    t.row(vec!["super-peer load".into(), r.sp_load.to_string()]);
-    t.row(vec!["client load".into(), r.client_load.to_string()]);
-    t.row(vec![
-        "availability".into(),
-        format!("{:.4}", r.availability),
-    ]);
-    t.row(vec![
-        "cluster failures".into(),
-        r.cluster_failures.to_string(),
-    ]);
-    if let Some(sc) = &scenario {
-        t.row(vec![
-            "scenario phases / classes".into(),
-            format!("{} / {}", sc.phases.len(), sc.capacity_classes.len()),
-        ]);
-    }
-    let effective_repair = scenario.as_ref().map_or(repair, |sc| sc.repair);
-    let faulted = !plan.is_empty() || scenario.as_ref().is_some_and(|sc| !sc.is_empty());
-    if faulted {
-        t.row(vec!["queries issued".into(), fm.queries_issued.to_string()]);
-        t.row(vec!["queries lost".into(), fm.queries_lost.to_string()]);
-        t.row(vec![
-            "recovered by retry".into(),
-            fm.recovered_retry.to_string(),
-        ]);
-        t.row(vec![
-            "recovered by failover".into(),
-            fm.recovered_failover.to_string(),
-        ]);
-        t.row(vec![
-            "faults injected (crash/drop/delay/partition/flaky)".into(),
-            format!(
-                "{}/{}/{}/{}/{}",
-                fm.injected_crash,
-                fm.injected_drop,
-                fm.injected_delay,
-                fm.injected_partition_block,
-                fm.injected_flaky
-            ),
-        ]);
-        t.row(vec![
-            "orphans gave up".into(),
-            fm.orphan_gave_up.to_string(),
-        ]);
-        t.row(vec![
-            "mean reconnect (s)".into(),
-            format!("{:.1}", fm.reconnect.mean_secs()),
-        ]);
-        if effective_repair.promotes() {
-            t.row(vec!["repair promotions".into(), rm.promotions.to_string()]);
-            t.row(vec![
-                "partner recruitments".into(),
-                rm.partner_recruitments.to_string(),
-            ]);
-            t.row(vec![
-                "final components".into(),
-                rm.final_components.to_string(),
-            ]);
-            t.row(vec![
-                "final reachable fraction".into(),
-                format!("{:.4}", rm.final_reachable_fraction),
-            ]);
-        }
-    }
-    if !effective_overload.is_empty() {
-        t.row(vec![
-            "overload delivered / shed / rejected".into(),
-            format!(
-                "{} / {} / {}",
-                om.delivered,
-                om.shed_discipline + om.shed_dead + om.shed_residual,
-                om.rejected_queue + om.rejected_budget
-            ),
-        ]);
-        t.row(vec![
-            "overload peak queue depth".into(),
-            om.peak_depth.to_string(),
-        ]);
-        t.row(vec![
-            "response latency p50 / p99 (s)".into(),
-            format!(
-                "{:.1} / {:.1}",
-                om.latency.quantile_secs(0.50),
-                om.latency.quantile_secs(0.99)
-            ),
-        ]);
-        t.row(vec![
-            "brownout entries / time (s)".into(),
-            format!("{} / {:.0}", om.brownout_entries, om.brownout_secs),
-        ]);
-        t.row(vec!["clients re-homed".into(), om.rehomed.to_string()]);
-        // Flat line for scripted smoke checks (CI greps this; the
-        // table layout above is free to change).
-        return Ok(format!(
-            "{}\noverload run: delivered {}, shed {}, rejected {}, rehomed {}, p99 {:.1}s",
-            t.render(),
-            om.delivered,
-            om.shed_discipline + om.shed_dead + om.shed_residual,
-            om.rejected_queue + om.rejected_budget,
-            om.rehomed,
-            om.latency.quantile_secs(0.99)
-        ));
-    }
-    Ok(t.render())
+/// What one `spnet simulate` invocation runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    /// `--resume SNAP`: finish a fast or scale checkpoint.
+    Resume,
+    /// `--scale`: one run of the sharded scale engine.
+    Scale,
+    /// `--crash-storm`: the canonical crash storm at k = 1 and k = 2.
+    CrashStorm,
+    /// `--trials N` with N > 1: independent steady-state trials.
+    Trials,
+    /// `--reliability`: k = 1 vs k = 2 availability under churn.
+    Reliability,
+    /// `--scenario PLAN`: one fast-engine run of a scenario file.
+    Scenario,
+    /// One fast-engine run.
+    Single,
 }
 
-/// The `spnet simulate --scale` path: the shared-nothing sharded scale
-/// engine (`sp_sim::shard`), sized for overlays the churn engines
-/// cannot reach. `--shards N` picks the reactor count (default one per
-/// core); metrics are bitwise identical at every value, so
-/// `--metrics-json` output from runs at different shard counts can be
-/// compared byte-for-byte — the CI sharded-smoke contract.
-#[allow(clippy::too_many_arguments)]
-fn simulate_scale(
-    args: &Args,
-    cfg: &mut Config,
+/// One row of [`RUN_KINDS`].
+struct KindRow {
+    kind: RunKind,
+    /// Whether the flags select this kind (given the `--trials` count).
+    selects: fn(&Args, usize) -> bool,
+    /// How conflict errors name the kind, and why it refuses an option.
+    name: &'static str,
+    why: &'static str,
+    /// Every option the kind accepts, as space-separated groups.
+    accepts: &'static [&'static str],
+}
+
+const TOPOLOGY: &str = "users cluster outdegree ttl redundancy k query-rate";
+const CHURN: &str = "strong graph duration seed lifespan trials threads fault-seed";
+const ONE_RUN: &str = "metrics-json checkpoint-every checkpoint-dir";
+const OVERLOAD: &str = "overload overload-policy";
+const SHARD_OPTIONS: &str = "shards barrier-timeout-ticks inject-shard-panic";
+
+/// The one conflict table of `spnet simulate`: the first row whose
+/// selector matches is the run kind, and any option outside its
+/// `accepts` list is rejected by name (exit 2).
+static RUN_KINDS: [KindRow; 7] = [
+    KindRow {
+        kind: RunKind::Resume,
+        selects: |a, _| a.get("resume").is_some(),
+        name: "--resume",
+        why: "the snapshot holds the whole run",
+        accepts: &["resume threads metrics-json overload", SHARD_OPTIONS],
+    },
+    KindRow {
+        kind: RunKind::Scale,
+        selects: |a, _| a.has("scale"),
+        name: "--scale",
+        why: "the sharded scale engine runs one churn-free power-law overlay",
+        accepts: &[
+            "scale duration seed threads faults fault-seed",
+            TOPOLOGY,
+            ONE_RUN,
+            OVERLOAD,
+            SHARD_OPTIONS,
+        ],
+    },
+    KindRow {
+        kind: RunKind::CrashStorm,
+        selects: |a, _| a.has("crash-storm"),
+        name: "--crash-storm",
+        why: "it runs its canonical built-in plan at k = 1 and k = 2",
+        accepts: &["crash-storm repair", TOPOLOGY, CHURN],
+    },
+    KindRow {
+        kind: RunKind::Trials,
+        selects: |_, trials| trials > 1,
+        name: "--trials N > 1",
+        why: "use --trials 1 for a single run",
+        accepts: &["repair", TOPOLOGY, CHURN],
+    },
+    KindRow {
+        kind: RunKind::Reliability,
+        selects: |a, _| a.has("reliability"),
+        name: "--reliability",
+        why: "it runs its own k = 1 vs k = 2 churn comparison",
+        accepts: &["reliability repair", TOPOLOGY, CHURN],
+    },
+    KindRow {
+        kind: RunKind::Scenario,
+        selects: |a, _| a.get("scenario").is_some(),
+        name: "--scenario",
+        why: "the scenario file sets the run's faults, repair, and overload policy",
+        accepts: &["scenario scenario-seed", TOPOLOGY, CHURN, ONE_RUN],
+    },
+    KindRow {
+        kind: RunKind::Single,
+        selects: |_, _| true,
+        name: "a churn-engine run",
+        why: "shard options need --scale or --resume; --scenario-seed needs --scenario",
+        accepts: &["faults repair", TOPOLOGY, CHURN, ONE_RUN, OVERLOAD],
+    },
+];
+
+/// Everything one `spnet simulate` invocation asked for, read from the
+/// flags once.
+struct RunSpec {
+    kind: RunKind,
+    cfg: Config,
     duration: f64,
     seed: u64,
     fault_seed: u64,
-    plan: &FaultPlan,
-    metrics_json: Option<&str>,
-    checkpoint_every: Option<f64>,
+    scenario_seed: u64,
+    trials: usize,
+    threads: usize,
+    repair: RepairPolicy,
+    faults: FaultPlan,
+    scenario: ScenarioPlan,
+    /// The flag-selected policy (empty = off). A resumed run takes its
+    /// policy from the snapshot; there `--overload` only asserts that
+    /// the snapshot has one.
     overload: OverloadPolicy,
-) -> Result<String, CliError> {
-    if args.flag("reliability")
-        || args.flag("crash-storm")
-        || args.get("trials").is_some()
-        || args.get("repair").is_some()
-        || args.get("lifespan").is_some()
-    {
-        return Err(CliError::Usage(
-            "--scale runs the sharded scale engine; it supports --shards, --duration, \
-             --seed, --faults, --fault-seed, --metrics-json, the overload, checkpoint, \
-             and supervisor options, and the topology options only"
-                .into(),
-        ));
-    }
-    if args.flag("strong") || args.get("graph").is_some() {
-        return Err(CliError::Usage(
-            "--scale generates its own power-law overlay; drop --strong/--graph".into(),
-        ));
-    }
-    // The scale preset's TTL (3) keeps per-query flood work constant as
-    // the overlay grows; an explicit --ttl still wins.
-    if args.get("ttl").is_none() {
-        cfg.ttl = Config::scale_preset(cfg.graph_size).ttl;
-    }
-    let shards = shards_from(args)?;
-    let mut sim = ShardedSimulation::with_faults(
-        cfg,
-        ScaleOptions {
-            duration_secs: duration,
+    checkpoint_every: Option<f64>,
+    checkpoint_dir: String,
+    metrics_json: Option<String>,
+    /// Shard count and supervision for the scale engine.
+    scale: ScaleOptions,
+    /// The first scale-only option given, refused by name when
+    /// `--resume` turns out to name a churn-engine checkpoint.
+    shard_option: Option<&'static str>,
+    resume: Option<String>,
+}
+
+impl RunSpec {
+    fn parse(args: &Args) -> Result<RunSpec, CliError> {
+        let trials = args.get_or("trials", 1usize)?;
+        if trials == 0 {
+            return Err(CliError::Usage("--trials: need at least one trial".into()));
+        }
+        let row = RUN_KINDS
+            .iter()
+            .find(|r| (r.selects)(args, trials))
+            .unwrap_or(&RUN_KINDS[RUN_KINDS.len() - 1]);
+        let accepted = |key: &str| row.accepts.iter().any(|g| g.split(' ').any(|k| k == key));
+        if let Some(key) = args.keys().find(|k| !accepted(k)) {
+            return Err(CliError::Usage(format!(
+                "--{key} cannot be combined with {} ({}); drop --{key}",
+                row.name, row.why
+            )));
+        }
+        let mut cfg = config_from(args)?;
+        if let Some(lifespan) = args.get("lifespan") {
+            cfg.population.lifespan_mean_secs = lifespan
+                .parse()
+                .map_err(|_| ArgError(format!("--lifespan: cannot parse {lifespan:?}")))?;
+        }
+        // The scale preset's TTL (3) keeps per-query flood work constant
+        // as the overlay grows; an explicit --ttl still wins.
+        if row.kind == RunKind::Scale && !args.has("ttl") {
+            cfg.ttl = Config::scale_preset(cfg.graph_size).ttl;
+        }
+        let duration = args.get_or("duration", 3600.0f64)?;
+        let seed = args.get_or("seed", 42u64)?;
+        // The fault and scenario streams default to the run seed so
+        // `--seed` alone still names a fully reproducible run.
+        let fault_seed = args.get_or("fault-seed", seed)?;
+        let faults = json_file(args, "faults", FaultPlan::from_json, CliError::Runtime)?;
+        // An invalid scenario is the caller's fault (exit 2).
+        let scenario = json_file(args, "scenario", ScenarioPlan::from_json, CliError::Usage)?;
+        let overload = overload_from(args, &cfg)?;
+        Ok(RunSpec {
+            kind: row.kind,
+            duration,
             seed,
             fault_seed,
-            shards,
-            barrier_timeout_ticks: args.get_or("barrier-timeout-ticks", 0u32)?,
-            inject_panic: shard_panic_from(args)?,
+            scenario_seed: args.get_or("scenario-seed", seed)?,
+            trials,
+            // Validated for every kind, though only the multi-run kinds
+            // fan out: `--threads 0` is always a usage error.
+            threads: threads_from(args)?,
+            // Repair only engages on fault-injected crashes.
+            repair: match args.get("repair") {
+                None => RepairPolicy::Off,
+                Some(s) => RepairPolicy::parse(s).ok_or_else(|| {
+                    ArgError(format!(
+                        "--repair: unknown policy {s:?} (expected off, promote, or promote+partner)"
+                    ))
+                })?,
+            },
+            faults: faults.unwrap_or_default(),
+            scenario: scenario.unwrap_or_default(),
             overload,
-        },
-        plan,
-    );
-    if let Some(every) = checkpoint_every {
-        // The scale clock is the tick barrier, so the interval is in
-        // ticks; fractional values round up to the next barrier.
-        let every = (every.ceil() as u32).max(1);
-        let dir = args.get("checkpoint-dir").unwrap_or("checkpoints");
-        let mut seq = 0usize;
-        let mut at = every;
-        while at < sim.total_ticks() {
-            sim.run_to(at).map_err(shard_failure)?;
-            write_checkpoint(dir, seq, &sim.snapshot())?;
-            seq += 1;
-            at += every;
-        }
+            checkpoint_every: checkpoint_every_from(args)?,
+            checkpoint_dir: args.get("checkpoint-dir").unwrap_or("checkpoints").into(),
+            metrics_json: args.get("metrics-json").map(str::to_string),
+            scale: ScaleOptions {
+                duration_secs: duration,
+                seed,
+                fault_seed,
+                // One shard per core unless given; the count never
+                // changes the reported numbers.
+                shards: match args.get("shards") {
+                    None => resolve_thread_budget(0),
+                    Some(s) => positive_count("--shards", s)?,
+                },
+                barrier_timeout_ticks: args.get_or("barrier-timeout-ticks", 0u32)?,
+                inject_panic: shard_panic_from(args)?,
+                overload,
+            },
+            shard_option: SHARD_OPTIONS.split(' ').find(|k| args.has(k)),
+            resume: args.get("resume").map(str::to_string),
+            cfg,
+        })
     }
-    let overload_active = sim.overload_active();
-    let m = sim.try_run().map_err(shard_failure)?;
-    let diag = *sim.diag();
-    if let Some(path) = metrics_json {
-        std::fs::write(path, m.to_json()).map_err(|e| {
-            CliError::Runtime(format!("--metrics-json: cannot write {path:?}: {e}"))
-        })?;
-    }
-    Ok(scale_report(&m, &diag, !plan.is_empty(), overload_active))
-}
 
-/// Renders the scale-engine report table plus the flat smoke line CI
-/// diffs across shard counts — shared by fresh `--scale` runs and
-/// `--resume` of a scale snapshot (whose metrics must come out
-/// byte-identical).
-fn scale_report(
-    m: &ScaleMetrics,
-    diag: &ScaleDiag,
-    faulted: bool,
-    overload_active: bool,
-) -> String {
-    let mut t = Table::new(vec!["Metric", "Value"]);
-    t.row(vec!["peers".into(), m.peers.to_string()]);
-    t.row(vec!["clusters".into(), m.clusters.to_string()]);
-    t.row(vec!["ticks".into(), m.ticks.to_string()]);
-    t.row(vec!["queries issued".into(), m.queries_issued.to_string()]);
-    t.row(vec!["queries failed".into(), m.queries_failed.to_string()]);
-    t.row(vec![
-        "messages delivered".into(),
-        m.msgs_delivered.to_string(),
-    ]);
-    t.row(vec!["results found".into(), m.results_found.to_string()]);
-    if faulted {
-        t.row(vec![
-            "dropped (loss/partition/dead)".into(),
-            format!(
-                "{}/{}/{}",
-                m.msgs_dropped_loss, m.msgs_dropped_partition, m.msgs_dropped_dead
-            ),
-        ]);
-        t.row(vec![
-            "crashes injected".into(),
-            m.crashes_injected.to_string(),
-        ]);
-        t.row(vec!["elections held".into(), m.elections_held.to_string()]);
-        t.row(vec![
-            "re-index announcements".into(),
-            m.reindex_received.to_string(),
-        ]);
+    /// Options for the multi-run kinds' trial fan-out.
+    fn trial_options(&self) -> SimTrialOptions {
+        SimTrialOptions {
+            trials: self.trials,
+            seed: self.seed,
+            threads: self.threads,
+            repair: self.repair,
+            ..Default::default()
+        }
     }
-    if overload_active {
-        t.row(vec![
-            "overload admitted / delivered".into(),
-            format!(
-                "{} / {}",
-                m.ov_admitted + m.ov_rehome_admitted,
-                m.ov_delivered
-            ),
-        ]);
-        t.row(vec![
-            "overload shed (discipline/dead/residual)".into(),
-            format!(
-                "{}/{}/{}",
-                m.ov_shed_discipline, m.ov_shed_dead, m.ov_shed_residual
-            ),
-        ]);
-        t.row(vec![
-            "overload rejected (queue/budget)".into(),
-            format!("{}/{}", m.ov_rejected_queue, m.ov_rejected_budget),
-        ]);
-        t.row(vec![
-            "re-home handoffs sent / failed".into(),
-            format!("{} / {}", m.ov_rehome_sent, m.ov_handoff_failed),
-        ]);
-        t.row(vec![
-            "brownout entries / cluster-ticks".into(),
-            format!("{} / {}", m.ov_brownout_entries, m.ov_brownout_ticks),
-        ]);
-        t.row(vec![
-            "overload peak depth / wait p99 (ticks)".into(),
-            format!("{} / {}", m.ov_peak_depth, m.ov_wait_quantile_ticks(0.99)),
-        ]);
-    }
-    t.row(vec![
-        "events processed".into(),
-        m.events_processed().to_string(),
-    ]);
-    t.row(vec![
-        "shards / cross-shard msgs".into(),
-        format!("{} / {}", diag.shards, diag.cross_shard_msgs),
-    ]);
-    // Flat line for scripted smoke checks: every field here is
-    // shard-count-invariant, so CI can diff it across shard counts.
-    let mut smoke = format!(
-        "scale run: events processed {}, msgs delivered {}, results {}",
-        m.events_processed(),
-        m.msgs_delivered,
-        m.results_found
-    );
-    if overload_active {
-        smoke.push_str(&format!(
-            ", overload delivered {} shed {} rejected {}",
-            m.ov_delivered,
-            m.ov_shed_discipline + m.ov_shed_dead + m.ov_shed_residual,
-            m.ov_rejected_queue + m.ov_rejected_budget
-        ));
-    }
-    format!("{}\n{smoke}", t.render())
-}
 
-/// The `spnet simulate --resume SNAP` path: restores a checkpoint and
-/// runs it to completion. The snapshot names its own engine
-/// (dispatched on the container header), workload, and RNG positions,
-/// so every option that would re-describe the run is a conflict; the
-/// finished metrics are bitwise identical to the uninterrupted run's.
-fn simulate_resume(args: &Args, path: &str) -> Result<String, CliError> {
-    // The snapshot embeds the config, plans, and seeds; anything that
-    // would re-specify them is a conflict, named individually so the
-    // error says which option to drop.
-    for key in [
-        "users",
-        "cluster",
-        "outdegree",
-        "ttl",
-        "query-rate",
-        "k",
-        "graph",
-        "lifespan",
-        "duration",
-        "seed",
-        "fault-seed",
-        "scenario-seed",
-        "trials",
-        "faults",
-        "scenario",
-        "repair",
-        "overload-policy",
-        "checkpoint-every",
-        "checkpoint-dir",
-    ] {
-        if args.get(key).is_some() {
-            return Err(CliError::Usage(format!(
-                "--resume restores the full run state from the snapshot; drop --{key}"
-            )));
-        }
-    }
-    for flag in [
-        "reliability",
-        "crash-storm",
-        "strong",
-        "redundancy",
-        "scale",
-    ] {
-        if args.flag(flag) {
-            return Err(CliError::Usage(format!(
-                "--resume restores the full run state from the snapshot; drop --{flag}"
-            )));
-        }
-    }
-    let data = std::fs::read(path)
-        .map_err(|e| CliError::Runtime(format!("--resume: cannot read {path:?}: {e}")))?;
-    let engine = SnapReader::peek_engine(&data)
-        .map_err(|e| CliError::Runtime(format!("--resume: {path}: {e}")))?;
-    let metrics_json = args.get("metrics-json");
-    let restored = |e: sp_core::model::snapshot::SnapshotError| {
-        CliError::Runtime(format!("--resume: {path}: {e}"))
-    };
-    // A resumed run's overload policy comes from the snapshot; the
-    // `--overload` flag is allowed only as an assertion that the
-    // snapshot really is an overload-controlled run (a policy cannot
-    // be enabled mid-run without changing every draw after T).
-    let check_overload = |active: bool| -> Result<(), CliError> {
-        if args.flag("overload") && !active {
+    /// The engine for a single run: built from the flags, or restored
+    /// from the `--resume` checkpoint, whose header names its engine.
+    fn engine(&self) -> Result<Engine, CliError> {
+        let Some(path) = &self.resume else {
+            if self.kind == RunKind::Scale {
+                let sim = ShardedSimulation::with_faults(&self.cfg, self.scale, &self.faults);
+                return Ok(Engine::Scale(Box::new(sim)));
+            }
+            let opts = SimOptions {
+                duration_secs: self.duration,
+                seed: self.seed,
+                fault_seed: self.fault_seed,
+                scenario_seed: self.scenario_seed,
+                profile: self.metrics_json.is_some(),
+                repair: self.repair,
+                overload: self.overload,
+                ..Default::default()
+            };
+            let sim = match self.kind {
+                RunKind::Scenario => Simulation::with_scenario(&self.cfg, opts, &self.scenario),
+                _ => Simulation::with_faults(&self.cfg, opts, &self.faults),
+            };
+            return Ok(Engine::Fast(Box::new(sim)));
+        };
+        let data = std::fs::read(path)
+            .map_err(|e| CliError::Runtime(format!("--resume: cannot read {path:?}: {e}")))?;
+        let bad = |e: SnapshotError| CliError::Runtime(format!("--resume: {path}: {e}"));
+        let engine = match SnapReader::peek_engine(&data).map_err(bad)? {
+            ENGINE_FAST => {
+                if let Some(key) = self.shard_option {
+                    return Err(CliError::Usage(format!(
+                        "--{key} supervises scale checkpoints; {path} is a churn-engine \
+                         checkpoint, drop --{key}"
+                    )));
+                }
+                Engine::Fast(Box::new(Simulation::restore(&data).map_err(bad)?))
+            }
+            ENGINE_SCALE => Engine::Scale(Box::new(
+                ShardedSimulation::restore(&data, self.scale).map_err(bad)?,
+            )),
+            other => {
+                return Err(CliError::Runtime(format!(
+                    "--resume: {path}: engine tag {other} is not a fast or scale checkpoint"
+                )))
+            }
+        };
+        // A policy cannot be enabled mid-run without changing every
+        // draw after the checkpoint.
+        if !self.overload.is_empty() && !engine.overload_active() {
             return Err(CliError::Usage(format!(
                 "--overload: the snapshot at {path} was captured without an overload \
                  policy, and a policy cannot be enabled at resume time; drop \
                  --overload or restart the run with it"
             )));
         }
-        Ok(())
-    };
-    match engine {
-        ENGINE_SCALE => {
-            let opts = ScaleOptions {
-                shards: shards_from(args)?,
-                barrier_timeout_ticks: args.get_or("barrier-timeout-ticks", 0u32)?,
-                inject_panic: shard_panic_from(args)?,
-                ..ScaleOptions::default()
-            };
-            let mut sim = ShardedSimulation::restore(&data, opts).map_err(restored)?;
-            let overload_active = sim.overload_active();
-            check_overload(overload_active)?;
-            let m = sim.try_run().map_err(shard_failure)?;
-            let diag = *sim.diag();
-            if let Some(p) = metrics_json {
-                std::fs::write(p, m.to_json()).map_err(|e| {
-                    CliError::Runtime(format!("--metrics-json: cannot write {p:?}: {e}"))
-                })?;
-            }
-            Ok(scale_report(&m, &diag, true, overload_active))
-        }
-        engine @ (ENGINE_FAST | ENGINE_REFERENCE) => {
-            if args.get("shards").is_some()
-                || args.get("barrier-timeout-ticks").is_some()
-                || args.get("inject-shard-panic").is_some()
-            {
-                return Err(CliError::Usage(
-                    "--shards/--barrier-timeout-ticks/--inject-shard-panic supervise \
-                     scale snapshots; this snapshot is a churn-engine checkpoint"
-                        .into(),
-                ));
-            }
-            let (raw, name) = if engine == ENGINE_FAST {
-                let mut sim = Simulation::restore(&data).map_err(restored)?;
-                check_overload(sim.overload_active())?;
-                let start = std::time::Instant::now();
-                let raw = sim.run();
-                if let Some(p) = metrics_json {
-                    let manifest = sim.manifest(start.elapsed().as_secs_f64());
-                    std::fs::write(p, manifest.to_json()).map_err(|e| {
-                        CliError::Runtime(format!("--metrics-json: cannot write {p:?}: {e}"))
-                    })?;
-                }
-                (raw, "fast")
-            } else {
-                if metrics_json.is_some() {
-                    return Err(CliError::Usage(
-                        "the reference engine keeps no run manifest; drop --metrics-json".into(),
-                    ));
-                }
-                let mut sim = ReferenceSimulation::restore(&data).map_err(restored)?;
-                check_overload(sim.overload_active())?;
-                (sim.run(), "reference")
-            };
-            Ok(resumed_report(raw, name))
-        }
-        other => Err(CliError::Runtime(format!(
-            "--resume: {path}: unknown engine tag {other}"
-        ))),
+        Ok(engine)
     }
 }
 
-/// Report table for a resumed churn-engine run: the core metrics plus
-/// a flat line scripted checks can diff against the uninterrupted run.
-fn resumed_report(raw: RawMetrics, engine: &str) -> String {
-    let r = SimReport::from_raw(raw);
-    let mut t = Table::new(vec!["Metric", "Value"]);
-    t.row(vec!["engine".into(), engine.into()]);
-    t.row(vec!["queries simulated".into(), r.queries.to_string()]);
-    t.row(vec![
-        "results per query".into(),
-        format!("{:.1}", r.results_per_query),
+/// The engine behind a single `simulate` run.
+enum Engine {
+    Fast(Box<Simulation>),
+    Scale(Box<ShardedSimulation>),
+}
+
+impl Engine {
+    fn overload_active(&self) -> bool {
+        match self {
+            Engine::Fast(sim) => sim.overload_active(),
+            Engine::Scale(sim) => sim.overload_active(),
+        }
+    }
+
+    /// Writes a checkpoint every `every` simulated seconds until the end
+    /// of the run. The scale clock is the tick barrier, so there the
+    /// interval is in ticks and fractional values round up.
+    fn checkpoint(&mut self, every: f64, dir: &str) -> Result<(), CliError> {
+        let (every, end) = match self {
+            Engine::Fast(sim) => (every, sim.options().duration_secs),
+            Engine::Scale(sim) => (every.ceil(), f64::from(sim.total_ticks())),
+        };
+        let (mut at, mut seq) = (every, 0);
+        while at < end {
+            let snap = match self {
+                Engine::Fast(sim) => {
+                    sim.run_to(at);
+                    sim.snapshot()
+                }
+                Engine::Scale(sim) => {
+                    sim.run_to(at as u32).map_err(shard_failure)?;
+                    sim.snapshot()
+                }
+            };
+            std::fs::create_dir_all(dir).map_err(|e| {
+                CliError::Runtime(format!("--checkpoint-dir: cannot create {dir:?}: {e}"))
+            })?;
+            let path = std::path::Path::new(dir).join(format!("checkpoint-{seq:06}.snap"));
+            std::fs::write(&path, snap)
+                .map_err(|e| CliError::Runtime(format!("cannot write checkpoint {path:?}: {e}")))?;
+            seq += 1;
+            at += every;
+        }
+        Ok(())
+    }
+}
+
+/// `spnet simulate` — the event-driven engines behind every churn,
+/// fault, scenario, overload, and million-peer run.
+///
+/// Every flag is read once into a [`RunSpec`], whose kind decides which
+/// options are accepted ([`RUN_KINDS`]). The multi-run kinds
+/// (`--trials N`, `--reliability`, `--crash-storm`) report mean ± 95%
+/// CI or k = 1 vs k = 2 tables. Every other kind is one run of the fast
+/// churn engine or the sharded scale engine, fresh or resumed from a
+/// checkpoint; both then share the checkpoint loop, the
+/// `--metrics-json` write, and the report.
+pub fn simulate(args: &Args) -> Result<String, CliError> {
+    if let Some(text) = SIMULATE_USAGE.gate(args)? {
+        return Ok(text);
+    }
+    let spec = RunSpec::parse(args)?;
+    match spec.kind {
+        RunKind::Trials => return Ok(trials_report(&spec)),
+        RunKind::Reliability => return Ok(reliability_report(&spec)),
+        RunKind::CrashStorm => return Ok(crash_storm_report(&spec)),
+        RunKind::Resume | RunKind::Scale | RunKind::Scenario | RunKind::Single => {}
+    }
+    let mut engine = spec.engine()?;
+    let start = std::time::Instant::now();
+    if let Some(every) = spec.checkpoint_every {
+        engine.checkpoint(every, &spec.checkpoint_dir)?;
+    }
+    let (report, json) = match engine {
+        Engine::Fast(mut sim) => {
+            let raw = sim.run();
+            let json = spec
+                .metrics_json
+                .as_ref()
+                .map(|_| sim.manifest(start.elapsed().as_secs_f64()).to_json());
+            (churn_report(&sim, raw, spec.resume.is_some()), json)
+        }
+        Engine::Scale(mut sim) => {
+            let m = sim.try_run().map_err(shard_failure)?;
+            let json = spec.metrics_json.as_ref().map(|_| m.to_json());
+            (scale_report(&sim, &m), json)
+        }
+    };
+    if let (Some(path), Some(json)) = (&spec.metrics_json, json) {
+        std::fs::write(path, json).map_err(|e| {
+            CliError::Runtime(format!("--metrics-json: cannot write {path:?}: {e}"))
+        })?;
+    }
+    Ok(report)
+}
+
+/// A two-column `Metric | <header>` table.
+fn value_table(header: &str, rows: Vec<(&str, String)>) -> String {
+    let mut t = Table::new(vec!["Metric", header]);
+    for (label, value) in rows {
+        t.row(vec![label.into(), value]);
+    }
+    t.render()
+}
+
+/// A `Metric | k = 1 | k = 2` comparison table.
+fn k_table(rows: Vec<(&str, String, String)>) -> String {
+    let mut t = Table::new(vec!["Metric", "k = 1", "k = 2"]);
+    for (label, k1, k2) in rows {
+        t.row(vec![label.into(), k1, k2]);
+    }
+    t.render()
+}
+
+/// The churn-engine report: the core metrics plus the scenario, fault,
+/// repair, and overload rows for what the engine ran with. Plans and
+/// policies are read from the engine rather than the flags, so a
+/// resumed run prints its uninterrupted run's table, then one flat
+/// `resumed run (fast)` line.
+fn churn_report(sim: &Simulation, raw: RawMetrics, resumed: bool) -> String {
+    let (fm, rm, om) = (&raw.faults, &raw.repair, &raw.overload);
+    let r = SimReport::from_raw(raw.clone());
+    let mut rows = vec![
+        ("queries simulated", r.queries.to_string()),
+        ("results per query", format!("{:.1}", r.results_per_query)),
+        ("super-peer load", r.sp_load.to_string()),
+        ("client load", r.client_load.to_string()),
+        ("availability", format!("{:.4}", r.availability)),
+        ("cluster failures", r.cluster_failures.to_string()),
+    ];
+    let scenario = sim.scenario_plan();
+    if !scenario.is_empty() {
+        let sizes = format!(
+            "{} / {}",
+            scenario.phases.len(),
+            scenario.capacity_classes.len()
+        );
+        rows.push(("scenario phases / classes", sizes));
+    }
+    if !sim.fault_plan().is_empty() || !scenario.is_empty() {
+        let injected = format!(
+            "{}/{}/{}/{}/{}",
+            fm.injected_crash,
+            fm.injected_drop,
+            fm.injected_delay,
+            fm.injected_partition_block,
+            fm.injected_flaky
+        );
+        rows.extend([
+            ("queries issued", fm.queries_issued.to_string()),
+            ("queries lost", fm.queries_lost.to_string()),
+            ("recovered by retry", fm.recovered_retry.to_string()),
+            ("recovered by failover", fm.recovered_failover.to_string()),
+            (
+                "faults injected (crash/drop/delay/partition/flaky)",
+                injected,
+            ),
+            ("orphans gave up", fm.orphan_gave_up.to_string()),
+            (
+                "mean reconnect (s)",
+                format!("{:.1}", fm.reconnect.mean_secs()),
+            ),
+        ]);
+        if sim.options().repair.promotes() {
+            rows.extend([
+                ("repair promotions", rm.promotions.to_string()),
+                ("partner recruitments", rm.partner_recruitments.to_string()),
+                ("final components", rm.final_components.to_string()),
+                (
+                    "final reachable fraction",
+                    format!("{:.4}", rm.final_reachable_fraction),
+                ),
+            ]);
+        }
+    }
+    // Flat lines for scripted smoke checks (CI greps these; the table
+    // layout above is free to change).
+    let mut flat = Vec::new();
+    if sim.overload_active() {
+        let shed = om.shed_discipline + om.shed_dead + om.shed_residual;
+        let rejected = om.rejected_queue + om.rejected_budget;
+        let (p50, p99) = (
+            om.latency.quantile_secs(0.50),
+            om.latency.quantile_secs(0.99),
+        );
+        rows.extend([
+            (
+                "overload delivered / shed / rejected",
+                format!("{} / {shed} / {rejected}", om.delivered),
+            ),
+            ("overload peak queue depth", om.peak_depth.to_string()),
+            (
+                "response latency p50 / p99 (s)",
+                format!("{p50:.1} / {p99:.1}"),
+            ),
+            (
+                "brownout entries / time (s)",
+                format!("{} / {:.0}", om.brownout_entries, om.brownout_secs),
+            ),
+            ("clients re-homed", om.rehomed.to_string()),
+        ]);
+        flat.push(format!(
+            "overload run: delivered {}, shed {shed}, rejected {rejected}, rehomed {}, p99 {p99:.1}s",
+            om.delivered, om.rehomed
+        ));
+    }
+    if resumed {
+        flat.push(format!(
+            "resumed run (fast): queries {}, results/query {:.1}, availability {:.4}",
+            r.queries, r.results_per_query, r.availability
+        ));
+    }
+    let mut out = value_table("Value", rows);
+    for line in flat {
+        out.push('\n');
+        out.push_str(&line);
+    }
+    out
+}
+
+/// The scale-engine report plus the flat smoke line CI diffs across
+/// shard counts. Like [`churn_report`], it reads the fault plan and the
+/// overload policy from the engine.
+fn scale_report(sim: &ShardedSimulation, m: &ScaleMetrics) -> String {
+    let mut rows = vec![
+        ("peers", m.peers.to_string()),
+        ("clusters", m.clusters.to_string()),
+        ("ticks", m.ticks.to_string()),
+        ("queries issued", m.queries_issued.to_string()),
+        ("queries failed", m.queries_failed.to_string()),
+        ("messages delivered", m.msgs_delivered.to_string()),
+        ("results found", m.results_found.to_string()),
+    ];
+    if !sim.fault_plan().is_empty() {
+        let dropped = format!(
+            "{}/{}/{}",
+            m.msgs_dropped_loss, m.msgs_dropped_partition, m.msgs_dropped_dead
+        );
+        rows.extend([
+            ("dropped (loss/partition/dead)", dropped),
+            ("crashes injected", m.crashes_injected.to_string()),
+            ("elections held", m.elections_held.to_string()),
+            ("re-index announcements", m.reindex_received.to_string()),
+        ]);
+    }
+    let shed = m.ov_shed_discipline + m.ov_shed_dead + m.ov_shed_residual;
+    let rejected = m.ov_rejected_queue + m.ov_rejected_budget;
+    if sim.overload_active() {
+        let admitted = m.ov_admitted + m.ov_rehome_admitted;
+        rows.extend([
+            (
+                "overload admitted / delivered",
+                format!("{admitted} / {}", m.ov_delivered),
+            ),
+            (
+                "overload shed (discipline/dead/residual)",
+                format!(
+                    "{}/{}/{}",
+                    m.ov_shed_discipline, m.ov_shed_dead, m.ov_shed_residual
+                ),
+            ),
+            (
+                "overload rejected (queue/budget)",
+                format!("{}/{}", m.ov_rejected_queue, m.ov_rejected_budget),
+            ),
+            (
+                "re-home handoffs sent / failed",
+                format!("{} / {}", m.ov_rehome_sent, m.ov_handoff_failed),
+            ),
+            (
+                "brownout entries / cluster-ticks",
+                format!("{} / {}", m.ov_brownout_entries, m.ov_brownout_ticks),
+            ),
+            (
+                "overload peak depth / wait p99 (ticks)",
+                format!("{} / {}", m.ov_peak_depth, m.ov_wait_quantile_ticks(0.99)),
+            ),
+        ]);
+    }
+    let diag = sim.diag();
+    rows.extend([
+        ("events processed", m.events_processed().to_string()),
+        (
+            "shards / cross-shard msgs",
+            format!("{} / {}", diag.shards, diag.cross_shard_msgs),
+        ),
     ]);
-    t.row(vec!["super-peer load".into(), r.sp_load.to_string()]);
-    t.row(vec!["client load".into(), r.client_load.to_string()]);
-    t.row(vec![
-        "availability".into(),
-        format!("{:.4}", r.availability),
-    ]);
-    t.row(vec![
-        "cluster failures".into(),
-        r.cluster_failures.to_string(),
-    ]);
-    format!(
-        "{}\nresumed run ({engine}): queries {}, results/query {:.1}, availability {:.4}",
-        t.render(),
-        r.queries,
-        r.results_per_query,
-        r.availability
-    )
+    // Every field of the flat line is shard-count-invariant, so CI can
+    // diff it across shard counts.
+    let mut flat = format!(
+        "scale run: events processed {}, msgs delivered {}, results {}",
+        m.events_processed(),
+        m.msgs_delivered,
+        m.results_found
+    );
+    if sim.overload_active() {
+        flat.push_str(&format!(
+            ", overload delivered {} shed {shed} rejected {rejected}",
+            m.ov_delivered
+        ));
+    }
+    format!("{}\n{flat}", value_table("Value", rows))
+}
+
+/// `--trials N`: steady-state trials, mean ± 95% CI.
+fn trials_report(spec: &RunSpec) -> String {
+    let s = steady_trials(&spec.cfg, spec.duration, &spec.trial_options());
+    let table = value_table(
+        "Mean ± 95% CI",
+        vec![
+            ("availability", ci(&s.availability)),
+            ("results per query", ci(&s.results_per_query)),
+            ("super-peer total bw (bps)", ci(&s.sp_total_bw)),
+        ],
+    );
+    format!("{} trials\n\n{table}", spec.trials)
+}
+
+/// `--reliability`: k = 1 vs k = 2 availability under churn.
+fn reliability_report(spec: &RunSpec) -> String {
+    let c = reliability(&spec.cfg, spec.duration, spec.seed);
+    k_table(vec![
+        (
+            "availability",
+            format!("{:.4}", c.availability_k1),
+            format!("{:.4}", c.availability_k2),
+        ),
+        (
+            "cluster failures",
+            c.failures_k1.to_string(),
+            c.failures_k2.to_string(),
+        ),
+        (
+            "mean downtime (s)",
+            format!("{:.1}", c.downtime_k1),
+            format!("{:.1}", c.downtime_k2),
+        ),
+    ])
+}
+
+/// `--crash-storm`: the canonical storm at k = 1 and k = 2, one run or
+/// mean ± 95% CI over `--trials N` storms.
+fn crash_storm_report(spec: &RunSpec) -> String {
+    let repair = spec.repair;
+    if spec.trials > 1 {
+        let s = crash_storm_trials(&spec.cfg, spec.duration, &spec.trial_options());
+        let table = k_table(vec![
+            ("queries lost", ci(&s.lost_k1), ci(&s.lost_k2)),
+            (
+                "availability",
+                ci(&s.availability_k1),
+                ci(&s.availability_k2),
+            ),
+            (
+                "min reachable since storm",
+                ci(&s.min_reachable_k1),
+                ci(&s.min_reachable_k2),
+            ),
+        ]);
+        return format!(
+            "{} crash-storm trials (repair {repair})\n\n{table}",
+            spec.trials
+        );
+    }
+    let c = crash_storm(&spec.cfg, spec.duration, spec.seed, spec.fault_seed, repair);
+    let rows = |r: &CrashStormReport| {
+        [
+            ("queries issued", r.queries_issued.to_string()),
+            ("queries lost", r.queries_lost.to_string()),
+            ("recovered by retry", r.recovered_retry.to_string()),
+            ("recovered by failover", r.recovered_failover.to_string()),
+            ("super-peers crashed", r.injected_crash.to_string()),
+            ("cluster failures", r.cluster_failures.to_string()),
+            ("clients orphaned", r.orphan_events.to_string()),
+            ("orphans gave up", r.orphan_gave_up.to_string()),
+            ("repair promotions", r.repair_promotions.to_string()),
+            (
+                "partner recruitments",
+                r.repair_partner_recruitments.to_string(),
+            ),
+            ("clusters abandoned", r.repair_abandoned.to_string()),
+            ("availability", format!("{:.4}", r.availability)),
+            (
+                "mean reconnect (s)",
+                format!("{:.1}", r.mean_reconnect_secs),
+            ),
+            (
+                "min reachable since storm",
+                format!("{:.4}", r.min_reachable_since_storm),
+            ),
+            ("final components", r.final_components.to_string()),
+        ]
+    };
+    let table = k_table(
+        rows(&c.k1)
+            .into_iter()
+            .zip(rows(&c.k2))
+            .map(|((label, k1), (_, k2))| (label, k1, k2))
+            .collect(),
+    );
+    // One flat line per k for scripted smoke checks (CI greps these;
+    // the table layout above is free to change).
+    let flat = |label: &str, r: &CrashStormReport| {
+        format!(
+            "repair {repair} {label}: final components {}, orphans gave up {}",
+            r.final_components, r.orphan_gave_up
+        )
+    };
+    format!("{table}\n{}\n{}", flat("k=1", &c.k1), flat("k=2", &c.k2))
 }
 
 /// `spnet sweep` — cluster-size sweep of one system.
@@ -2392,60 +2230,52 @@ mod tests {
 
     #[test]
     fn simulate_checkpoint_then_resume_is_bitwise_identical() {
-        let dir = std::env::temp_dir().join("spnet_cli_ckpt_fast_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let base = &[
-            "--users",
-            "100",
-            "--cluster",
-            "10",
-            "--duration",
-            "600",
-            "--seed",
-            "11",
-        ];
-        let uninterrupted = simulate(&args(base)).unwrap();
-        let checkpointed = simulate(&args(
-            &[
-                base as &[_],
+        // A resumed churn run prints exactly its uninterrupted run's
+        // report, then one flat `resumed run (fast)` line — for a plain
+        // run and an overload-controlled one alike.
+        for extra in [&[] as &[&str], &["--query-rate", "0.05", "--overload"]] {
+            let dir = std::env::temp_dir().join("spnet_cli_ckpt_fast_test");
+            std::fs::remove_dir_all(&dir).ok();
+            let base = [
                 &[
-                    "--checkpoint-every",
-                    "200",
-                    "--checkpoint-dir",
-                    dir.to_str().unwrap(),
+                    "--users",
+                    "100",
+                    "--cluster",
+                    "10",
+                    "--duration",
+                    "600",
+                    "--seed",
+                    "11",
                 ],
+                extra,
             ]
-            .concat(),
-        ))
-        .unwrap();
-        assert_eq!(
-            uninterrupted, checkpointed,
-            "writing checkpoints must not perturb the run"
-        );
-        // Two checkpoints at t=200 and t=400.
-        let snap = dir.join("checkpoint-000001.snap");
-        assert!(snap.exists(), "missing {snap:?}");
-        let resumed = simulate(&args(&["--resume", snap.to_str().unwrap()])).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        // The resumed table reports the same core metrics; compare via
-        // the flat smoke line against a freshly parsed uninterrupted
-        // report (formats differ, numbers must not).
-        for needle in ["queries simulated", "availability"] {
-            assert!(resumed.contains(needle), "resumed report missing {needle}");
-        }
-        let field = |out: &str, label: &str| -> String {
-            out.lines()
-                .find(|l| l.contains(label))
-                .unwrap_or_else(|| panic!("no {label} row in:\n{out}"))
-                .to_string()
-        };
-        let strip = |row: String| row.split_whitespace().collect::<Vec<_>>().join(" ");
-        for label in ["queries simulated", "results per query", "availability"] {
+            .concat();
+            let uninterrupted = simulate(&args(&base)).unwrap();
+            let checkpointed = simulate(&args(
+                &[
+                    &base[..],
+                    &[
+                        "--checkpoint-every",
+                        "200",
+                        "--checkpoint-dir",
+                        dir.to_str().unwrap(),
+                    ],
+                ]
+                .concat(),
+            ))
+            .unwrap();
             assert_eq!(
-                strip(field(&uninterrupted, label)),
-                strip(field(&resumed, label)),
-                "resume diverged on {label}"
+                uninterrupted, checkpointed,
+                "writing checkpoints must not perturb the run"
             );
+            // Two checkpoints at t=200 and t=400.
+            let snap = dir.join("checkpoint-000001.snap");
+            assert!(snap.exists(), "missing {snap:?}");
+            let resumed = simulate(&args(&["--resume", snap.to_str().unwrap()])).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            let (report, last) = resumed.rsplit_once('\n').unwrap();
+            assert_eq!(report, uninterrupted, "{extra:?}: resumed report diverged");
+            assert!(last.starts_with("resumed run (fast): "), "{last}");
         }
     }
 

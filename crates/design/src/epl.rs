@@ -11,8 +11,6 @@
 //! * an **empirical table** measured on generated power-law overlays,
 //!   exactly how the paper produced Figure 9.
 
-use serde::{Deserialize, Serialize};
-
 use sp_graph::generate::{plod, PlodConfig};
 use sp_graph::metrics::{epl_tree_approximation, mean_epl_for_reach};
 use sp_stats::SpRng;
@@ -49,7 +47,7 @@ pub fn recommended_ttl(avg_outdegree: f64, desired_reach: usize) -> u16 {
 /// An empirical EPL table over (average outdegree × desired reach), as
 /// measured on generated power-law overlays — the reproduction of
 /// Figure 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EplPredictor {
     outdegrees: Vec<f64>,
     reaches: Vec<usize>,

@@ -21,12 +21,10 @@
 //! under churn and measures that the network converges (its
 //! `adaptive` scenario).
 
-use serde::{Deserialize, Serialize};
-
 use sp_model::load::Load;
 
 /// What one super-peer can see locally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalView {
     /// Current measured load.
     pub load: Load,
@@ -66,7 +64,7 @@ impl LocalView {
 }
 
 /// An action a super-peer can take locally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalAction {
     /// Keep accepting clients (guideline I: never refuse while under
     /// the limit).

@@ -21,14 +21,12 @@
 //! analysis, exactly as the paper validates its Figure 11/12 redesign
 //! of the 20 000-peer Gnutella network.
 
-use serde::{Deserialize, Serialize};
-
 use sp_model::config::{Config, GraphType};
 use sp_model::load::Load;
 use sp_model::trials::{run_trials, TrialOptions, TrialSummary};
 
 /// System properties the designer specifies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignGoals {
     /// Number of users (peers) in the network.
     pub num_users: usize,
@@ -38,7 +36,7 @@ pub struct DesignGoals {
 }
 
 /// Designer constraints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignConstraints {
     /// Maximum expected load per super-peer partner. The paper advises
     /// limits far below actual capability (bursts, downloads, and the
@@ -52,7 +50,7 @@ pub struct DesignConstraints {
 }
 
 /// One logged decision of the procedure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignStep {
     /// Human-readable description of what was tried / decided.
     pub description: String,

@@ -6,8 +6,6 @@
 //! `u32` node ids halve the memory traffic relative to `usize` — the
 //! paper's largest topology (20 000 clusters) fits comfortably.
 
-use serde::{Deserialize, Serialize};
-
 /// Node identifier. `u32` bounds graphs at ~4 billion nodes, far above
 /// the paper's 10 000–20 000-peer networks.
 pub type NodeId = u32;
@@ -130,7 +128,7 @@ impl GraphBuilder {
 /// assert!(g.has_edge(0, 1));
 /// assert!(!g.has_edge(0, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for node `v`.
     offsets: Vec<u32>,

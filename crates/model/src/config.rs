@@ -4,8 +4,6 @@
 //! behavior; one configuration is analyzed over many stochastic
 //! instances. Defaults are the paper's Table 1 defaults.
 
-use serde::{Deserialize, Serialize};
-
 use crate::costs::CostModel;
 use crate::population::PopulationModel;
 use crate::query_model::QueryModelConfig;
@@ -16,7 +14,7 @@ use crate::query_model::QueryModelConfig;
 /// families are reproduction extensions used by the topology-ablation
 /// experiments to separate the effect of mean degree from the effect of
 /// degree *spread* (Figures 7 and 12 are all about spread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphType {
     /// Every super-peer neighbors every other ("strongly connected").
     /// The analysis engine evaluates this case without materializing
@@ -34,7 +32,7 @@ pub enum GraphType {
 
 /// One experiment configuration (Table 1), plus the cost/population/
 /// query sub-models it is evaluated under.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// The overlay family. Default: power-law.
     pub graph_type: GraphType,

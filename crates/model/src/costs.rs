@@ -13,8 +13,6 @@
 //! All shape results (knees, crossovers, winners) were verified to be
 //! insensitive to these constants at the ±50% level.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycles per processing unit: the measured cost of sending and
 /// receiving an empty Gnutella message.
 pub const UNIT_CYCLES: f64 = 7200.0;
@@ -25,7 +23,7 @@ pub const BITS_PER_BYTE: f64 = 8.0;
 
 /// General statistics (the paper's Table 3), gathered by the authors
 /// over a month of Gnutella observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneralStats {
     /// Expected length of a query string, bytes.
     pub query_length: f64,
@@ -51,7 +49,7 @@ impl Default for GeneralStats {
 /// (query, join, update) are compositions evaluated by the analysis
 /// engine. Bandwidth methods return bytes; `*_units` methods return
 /// processing units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Message-size and record-size statistics.
     pub stats: GeneralStats,

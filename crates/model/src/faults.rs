@@ -9,9 +9,9 @@
 //! by both the analysis and simulation layers.
 //!
 //! Plans round-trip through JSON with a hand-rolled parser and
-//! serializer: the vendored `serde` stub provides marker traits only,
-//! so — like `RunManifest::to_json` and `repro_bench` — everything here
-//! renders and reads JSON by hand.
+//! serializer: the workspace has no serialization crate, so — like
+//! `RunManifest::to_json` and `repro_bench` — everything here renders
+//! and reads JSON by hand.
 
 use std::fmt;
 

@@ -7,8 +7,6 @@
 //! cluster, and per-peer file counts and lifespans from the population
 //! model.
 
-use serde::{Deserialize, Serialize};
-
 use sp_graph::generate::{plod, PlodConfig};
 use sp_graph::traverse::{flood, message_counts, FloodResult, FloodScratch, MessageCounts};
 use sp_graph::{Graph, NodeId};
@@ -21,7 +19,7 @@ use crate::config::{Config, ConfigError};
 pub type PeerId = u32;
 
 /// A peer's role in the super-peer network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// A partner of cluster `cluster`'s virtual super-peer (the only
     /// partner when `k = 1`).
@@ -51,7 +49,7 @@ impl Role {
 }
 
 /// One peer of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peer {
     /// Role and cluster membership.
     pub role: Role,
@@ -62,7 +60,7 @@ pub struct Peer {
 }
 
 /// One cluster: a virtual super-peer (k partners) plus its clients.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cluster {
     /// The partner peers (length = `redundancy_k`).
     pub partners: Vec<PeerId>,

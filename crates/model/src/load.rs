@@ -8,10 +8,8 @@
 
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// A load (or load rate) along the paper's three resources.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Load {
     /// Incoming (downstream) bandwidth, bits per second.
     pub in_bw: f64,

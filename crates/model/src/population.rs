@@ -21,8 +21,6 @@
 //! of the network is stable, when a node leaves the network, another
 //! node is joining elsewhere" (Section 4.1, Step 3).
 
-use serde::{Deserialize, Serialize};
-
 use sp_stats::dist::Sampler;
 use sp_stats::{BoundedPareto, LogNormal, SpRng};
 
@@ -32,7 +30,7 @@ use sp_stats::{BoundedPareto, LogNormal, SpRng};
 /// synthesized measurement data; the ablation experiments swap the
 /// default log-normal for a bounded Pareto (the other family consistent
 /// with the Saroiu et al. plots) and re-check the rules of thumb.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FileTail {
     /// Log-normal over sharing peers, parameterized by
     /// [`PopulationModel::files_median`] / [`PopulationModel::files_sigma`].
@@ -47,7 +45,7 @@ pub enum FileTail {
 }
 
 /// Population model: how file counts and lifespans are assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationModel {
     /// Fraction of peers sharing zero files.
     pub free_rider_fraction: f64,

@@ -28,13 +28,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sp_stats::dist::Sampler;
 use sp_stats::{SpRng, Zipf};
 
 /// Parameters of the synthetic query model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryModelConfig {
     /// Number of query classes in the universe.
     pub num_classes: usize,

@@ -12,8 +12,8 @@
 //! engines execute deterministically (DESIGN.md §16).
 //!
 //! Like [`crate::faults`], the format is hand-rolled JSON (the
-//! approved dependency set has no serde implementation) and every
-//! parse error names the offending key or byte. The grammar:
+//! workspace has no serialization crate) and every parse error names
+//! the offending key or byte. The grammar:
 //!
 //! ```json
 //! {

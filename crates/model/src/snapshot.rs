@@ -32,8 +32,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPSN";
 
 /// Current snapshot schema version. Bump on any payload layout change;
 /// readers reject snapshots from other versions by name. Version 2
-/// added the overload-control policy and runtime state.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// added the overload-control policy and runtime state; version 3
+/// dropped the five fixed engine delays from the encoded options.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Engine tag: the fast churn engine (`sp_sim::engine::Simulation`).
 pub const ENGINE_FAST: u8 = 1;

@@ -129,10 +129,6 @@ pub(crate) fn unsnap_config(r: &mut SnapReader<'_>) -> Result<Config, SnapshotEr
 pub(crate) fn snap_opts(o: &SimOptions, w: &mut SnapWriter) {
     w.f64(o.duration_secs);
     w.u64(o.seed);
-    w.f64(o.recruit_delay_secs);
-    w.f64(o.rejoin_mean_secs);
-    w.f64(o.replenish_mean_secs);
-    w.f64(o.sample_interval_secs);
     match o.adapt {
         None => w.bool(false),
         Some(a) => {
@@ -156,7 +152,6 @@ pub(crate) fn snap_opts(o: &SimOptions, w: &mut SnapWriter) {
         RepairPolicy::Promote => 1,
         RepairPolicy::PromotePartner => 2,
     });
-    w.f64(o.repair_delay_secs);
     w.u64(o.scenario_seed);
     w.bool(o.profile);
     snap_overload_policy(&o.overload, w);
@@ -226,10 +221,6 @@ pub(crate) fn unsnap_opts(r: &mut SnapReader<'_>) -> Result<SimOptions, Snapshot
     Ok(SimOptions {
         duration_secs: r.f64("opts duration_secs")?,
         seed: r.u64("opts seed")?,
-        recruit_delay_secs: r.f64("opts recruit_delay_secs")?,
-        rejoin_mean_secs: r.f64("opts rejoin_mean_secs")?,
-        replenish_mean_secs: r.f64("opts replenish_mean_secs")?,
-        sample_interval_secs: r.f64("opts sample_interval_secs")?,
         adapt: if r.bool("opts has adapt")? {
             Some(AdaptSettings {
                 interval_secs: r.f64("opts adapt interval")?,
@@ -264,7 +255,6 @@ pub(crate) fn unsnap_opts(r: &mut SnapReader<'_>) -> Result<SimOptions, Snapshot
                 )))
             }
         },
-        repair_delay_secs: r.f64("opts repair_delay_secs")?,
         scenario_seed: r.u64("opts scenario_seed")?,
         profile: r.bool("opts profile")?,
         overload: unsnap_overload_policy(r)?,

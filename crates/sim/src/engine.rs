@@ -104,6 +104,21 @@ pub struct AdaptSettings {
     pub limit: Load,
 }
 
+/// Delay before a cluster that lost a partner promotes a client,
+/// seconds.
+pub const RECRUIT_DELAY_SECS: f64 = 30.0;
+/// Mean delay before an orphaned client retries discovery, seconds.
+pub const REJOIN_MEAN_SECS: f64 = 30.0;
+/// Mean delay before a departed peer is replaced by a new arrival,
+/// seconds.
+pub const REPLENISH_MEAN_SECS: f64 = 10.0;
+/// Timeline sampling interval, seconds.
+pub const SAMPLE_INTERVAL_SECS: f64 = 120.0;
+/// Delay between a cluster losing its last partner to an injected crash
+/// and the repair election firing (simulated outage detection +
+/// election time), seconds.
+pub const REPAIR_DELAY_SECS: f64 = 5.0;
+
 /// Engine options.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
@@ -111,14 +126,6 @@ pub struct SimOptions {
     pub duration_secs: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Delay before a cluster that lost a partner promotes a client.
-    pub recruit_delay_secs: f64,
-    /// Mean delay before an orphaned client retries discovery.
-    pub rejoin_mean_secs: f64,
-    /// Mean delay before a departed peer is replaced by a new arrival.
-    pub replenish_mean_secs: f64,
-    /// Timeline sampling interval, seconds.
-    pub sample_interval_secs: f64,
     /// Enable the Section 5.3 adaptive local rules.
     pub adapt: Option<AdaptSettings>,
     /// Query forwarding policy.
@@ -133,10 +140,6 @@ pub struct SimOptions {
     /// behavior; repair never engages on organic churn, so with an
     /// empty fault plan every policy is bitwise identical.
     pub repair: RepairPolicy,
-    /// Delay between a cluster losing its last partner to an injected
-    /// crash and the repair election firing (simulated outage
-    /// detection + election time), seconds.
-    pub repair_delay_secs: f64,
     /// Seed of the *dedicated* scenario RNG stream (see
     /// [`crate::phases`]). Ignored when no scenario plan is supplied;
     /// changing it never perturbs the main churn/query schedule.
@@ -155,15 +158,10 @@ impl Default for SimOptions {
         SimOptions {
             duration_secs: 3600.0,
             seed: 0x5EED,
-            recruit_delay_secs: 30.0,
-            rejoin_mean_secs: 30.0,
-            replenish_mean_secs: 10.0,
-            sample_interval_secs: 120.0,
             adapt: None,
             forward_policy: ForwardPolicy::FloodAll,
             fault_seed: 0,
             repair: RepairPolicy::Off,
-            repair_delay_secs: 5.0,
             scenario_seed: 0,
             profile: false,
             overload: OverloadPolicy::default(),
@@ -634,8 +632,7 @@ impl Simulation {
         }
         debug_assert!(self.net.check_invariants().is_ok());
         // Periodic events.
-        self.queue
-            .schedule(self.opts.sample_interval_secs, Event::Sample);
+        self.queue.schedule(SAMPLE_INTERVAL_SECS, Event::Sample);
         if let Some(adapt) = self.opts.adapt {
             for (i, &c) in cluster_ids.iter().enumerate() {
                 // Stagger ticks so clusters don't adapt in lockstep.
@@ -727,6 +724,22 @@ impl Simulation {
     /// options on a fresh run, or the snapshot on a restored one).
     pub fn overload_active(&self) -> bool {
         self.overload.active()
+    }
+
+    /// The options this run uses (restored ones on a restored run; on a
+    /// scenario run, with the plan's repair and overload policy).
+    pub fn options(&self) -> &SimOptions {
+        &self.opts
+    }
+
+    /// The fault plan this run injects (a scenario run's embedded plan).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        self.faults.plan()
+    }
+
+    /// The scenario plan this run plays (empty when there is none).
+    pub fn scenario_plan(&self) -> &ScenarioPlan {
+        &self.scenario_plan
     }
 
     /// Serializes the full mutable state of the run into a versioned,
@@ -1060,7 +1073,7 @@ impl Simulation {
             // cluster that lost a partner would.
             if self.config.redundancy_k > 1 {
                 self.queue.schedule(
-                    self.now + self.opts.recruit_delay_secs,
+                    self.now + RECRUIT_DELAY_SECS,
                     Event::RecruitPartner {
                         cluster: c,
                         generation,
@@ -1171,7 +1184,7 @@ impl Simulation {
                         .expect("cluster alive")
                         .generation;
                     self.queue.schedule(
-                        self.now + self.opts.recruit_delay_secs,
+                        self.now + RECRUIT_DELAY_SECS,
                         Event::RecruitPartner {
                             cluster: c,
                             generation,
@@ -1218,7 +1231,7 @@ impl Simulation {
             }
         }
         // Stable population: a departure triggers a fresh arrival.
-        let dt = self.exp_delay(1.0 / self.opts.replenish_mean_secs.max(1e-9));
+        let dt = self.exp_delay(1.0 / REPLENISH_MEAN_SECS);
         self.queue.schedule(self.now + dt, Event::PeerJoin);
     }
 
@@ -1245,7 +1258,7 @@ impl Simulation {
             }
             self.metrics.orphan_events += 1;
             let generation = self.net.peer_generation(client);
-            let dt = self.exp_delay(1.0 / self.opts.rejoin_mean_secs.max(1e-9));
+            let dt = self.exp_delay(1.0 / REJOIN_MEAN_SECS);
             let h = self.queue.schedule(
                 self.now + dt,
                 Event::ClientRejoin {
@@ -1298,7 +1311,7 @@ impl Simulation {
             adapt_stalled: false,
         };
         self.queue.schedule(
-            self.now + self.opts.repair_delay_secs,
+            self.now + REPAIR_DELAY_SECS,
             Event::Repair {
                 cluster: c,
                 generation,
@@ -1453,7 +1466,7 @@ impl Simulation {
         if self.opts.repair.recruits_partner() && self.config.redundancy_k > 1 {
             self.metrics.repair.partner_recruitments += 1;
             self.queue.schedule(
-                self.now + self.opts.recruit_delay_secs,
+                self.now + RECRUIT_DELAY_SECS,
                 Event::RecruitPartner {
                     cluster,
                     generation,
@@ -1524,7 +1537,7 @@ impl Simulation {
                 .partners
                 .is_empty()
             {
-                let dt = self.exp_delay(1.0 / self.opts.rejoin_mean_secs.max(1e-9));
+                let dt = self.exp_delay(1.0 / REJOIN_MEAN_SECS);
                 let h = self.queue.schedule(
                     self.now + dt,
                     Event::ClientRejoin {
@@ -1560,7 +1573,7 @@ impl Simulation {
                 {
                     self.give_up_rejoin(peer, orphaned_at);
                 } else {
-                    let dt = self.exp_delay(1.0 / self.opts.rejoin_mean_secs.max(1e-9));
+                    let dt = self.exp_delay(1.0 / REJOIN_MEAN_SECS);
                     let h = self.queue.schedule(
                         self.now + dt,
                         Event::ClientRejoin {
@@ -1598,7 +1611,7 @@ impl Simulation {
             self.metrics.client_out.push(rate.out_bw);
             self.metrics.client_proc.push(rate.proc);
         }
-        let dt = self.exp_delay(1.0 / self.opts.replenish_mean_secs.max(1e-9));
+        let dt = self.exp_delay(1.0 / REPLENISH_MEAN_SECS);
         self.queue.schedule(self.now + dt, Event::PeerJoin);
     }
 
@@ -1632,7 +1645,7 @@ impl Simulation {
                     .len();
                 if have < self.config.redundancy_k {
                     self.queue.schedule(
-                        self.now + self.opts.recruit_delay_secs,
+                        self.now + RECRUIT_DELAY_SECS,
                         Event::RecruitPartner {
                             cluster,
                             generation,
@@ -1643,7 +1656,7 @@ impl Simulation {
             None => {
                 // No client to promote yet; retry later.
                 self.queue.schedule(
-                    self.now + self.opts.recruit_delay_secs,
+                    self.now + RECRUIT_DELAY_SECS,
                     Event::RecruitPartner {
                         cluster,
                         generation,
@@ -2231,7 +2244,7 @@ impl Simulation {
         // The offspring starts with a lone partner; recruit up to k.
         if self.config.redundancy_k > 1 {
             self.queue.schedule(
-                self.now + self.opts.recruit_delay_secs,
+                self.now + RECRUIT_DELAY_SECS,
                 Event::RecruitPartner {
                     cluster: new_cluster,
                     generation,
@@ -2338,7 +2351,7 @@ impl Simulation {
             },
         });
         self.queue
-            .schedule(self.now + self.opts.sample_interval_secs, Event::Sample);
+            .schedule(self.now + SAMPLE_INTERVAL_SECS, Event::Sample);
         if self.overload.active() {
             self.overload
                 .sample(self.now, clusters as u64, &mut self.metrics.overload);
@@ -2956,8 +2969,7 @@ mod tests {
         let mut sim = Simulation::new(
             &cfg,
             SimOptions {
-                duration_secs: 700.0,
-                sample_interval_secs: 100.0,
+                duration_secs: 840.0,
                 seed: 5,
                 ..Default::default()
             },

@@ -8,7 +8,7 @@
 //! [`SimOptions::profile`](crate::engine::SimOptions::profile) so that
 //! throughput benchmarks measure the engine, not the instrumentation.
 //!
-//! The vendored `serde` stub provides marker traits only, so
+//! The workspace has no serialization crate, so
 //! [`RunManifest::to_json`] renders JSON by hand — the same approach
 //! `repro_bench` uses for its `BENCH_*.json` artifacts.
 
@@ -292,7 +292,7 @@ impl RunManifest {
     }
 
     /// Renders the manifest as a JSON document (hand-rolled: the
-    /// vendored serde stub has no serializer).
+    /// workspace has no serialization crate).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");

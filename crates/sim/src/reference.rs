@@ -35,7 +35,10 @@ use sp_model::scenario::ScenarioPlan;
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError, ENGINE_REFERENCE};
 
 use crate::checkpoint;
-use crate::engine::{ForwardPolicy, RawMetrics, SimOptions, TimelinePoint};
+use crate::engine::{
+    ForwardPolicy, RawMetrics, SimOptions, TimelinePoint, RECRUIT_DELAY_SECS, REJOIN_MEAN_SECS,
+    REPAIR_DELAY_SECS, REPLENISH_MEAN_SECS, SAMPLE_INTERVAL_SECS,
+};
 use crate::events::{BinaryEventQueue, ClusterId, Event, PeerId, SimTime};
 use crate::faults::{FaultAction, FaultState, QueryOutcome, Submission};
 use crate::network::SimNetwork;
@@ -224,8 +227,7 @@ impl ReferenceSimulation {
         }
         debug_assert!(self.net.check_invariants().is_ok());
         // Periodic events.
-        self.queue
-            .schedule(self.opts.sample_interval_secs, Event::Sample);
+        self.queue.schedule(SAMPLE_INTERVAL_SECS, Event::Sample);
         if let Some(adapt) = self.opts.adapt {
             for (i, &c) in cluster_ids.iter().enumerate() {
                 // Stagger ticks so clusters don't adapt in lockstep.
@@ -593,7 +595,7 @@ impl ReferenceSimulation {
             // cluster that lost a partner would.
             if self.config.redundancy_k > 1 {
                 self.queue.schedule(
-                    self.now + self.opts.recruit_delay_secs,
+                    self.now + RECRUIT_DELAY_SECS,
                     Event::RecruitPartner {
                         cluster: c,
                         generation,
@@ -728,7 +730,7 @@ impl ReferenceSimulation {
                         .expect("cluster alive")
                         .generation;
                     self.queue.schedule(
-                        self.now + self.opts.recruit_delay_secs,
+                        self.now + RECRUIT_DELAY_SECS,
                         Event::RecruitPartner {
                             cluster: c,
                             generation,
@@ -762,7 +764,7 @@ impl ReferenceSimulation {
             }
         }
         // Stable population: a departure triggers a fresh arrival.
-        let dt = self.exp_delay(1.0 / self.opts.replenish_mean_secs.max(1e-9));
+        let dt = self.exp_delay(1.0 / REPLENISH_MEAN_SECS);
         self.queue.schedule(self.now + dt, Event::PeerJoin);
     }
 
@@ -786,7 +788,7 @@ impl ReferenceSimulation {
             }
             self.metrics.orphan_events += 1;
             let generation = self.net.peer_generation(client);
-            let dt = self.exp_delay(1.0 / self.opts.rejoin_mean_secs.max(1e-9));
+            let dt = self.exp_delay(1.0 / REJOIN_MEAN_SECS);
             self.queue.schedule(
                 self.now + dt,
                 Event::ClientRejoin {
@@ -841,7 +843,7 @@ impl ReferenceSimulation {
             adapt_stalled: false,
         };
         self.queue.schedule(
-            self.now + self.opts.repair_delay_secs,
+            self.now + REPAIR_DELAY_SECS,
             Event::Repair {
                 cluster: c,
                 generation,
@@ -975,7 +977,7 @@ impl ReferenceSimulation {
         if self.opts.repair.recruits_partner() && self.config.redundancy_k > 1 {
             self.metrics.repair.partner_recruitments += 1;
             self.queue.schedule(
-                self.now + self.opts.recruit_delay_secs,
+                self.now + RECRUIT_DELAY_SECS,
                 Event::RecruitPartner {
                     cluster,
                     generation,
@@ -1041,7 +1043,7 @@ impl ReferenceSimulation {
                 .partners
                 .is_empty()
             {
-                let dt = self.exp_delay(1.0 / self.opts.rejoin_mean_secs.max(1e-9));
+                let dt = self.exp_delay(1.0 / REJOIN_MEAN_SECS);
                 self.queue.schedule(
                     self.now + dt,
                     Event::ClientRejoin {
@@ -1075,7 +1077,7 @@ impl ReferenceSimulation {
                 {
                     self.give_up_rejoin(peer, orphaned_at);
                 } else {
-                    let dt = self.exp_delay(1.0 / self.opts.rejoin_mean_secs.max(1e-9));
+                    let dt = self.exp_delay(1.0 / REJOIN_MEAN_SECS);
                     self.queue.schedule(
                         self.now + dt,
                         Event::ClientRejoin {
@@ -1105,7 +1107,7 @@ impl ReferenceSimulation {
             self.metrics.client_out.push(rate.out_bw);
             self.metrics.client_proc.push(rate.proc);
         }
-        let dt = self.exp_delay(1.0 / self.opts.replenish_mean_secs.max(1e-9));
+        let dt = self.exp_delay(1.0 / REPLENISH_MEAN_SECS);
         self.queue.schedule(self.now + dt, Event::PeerJoin);
     }
 
@@ -1218,7 +1220,7 @@ impl ReferenceSimulation {
                     .len();
                 if have < self.config.redundancy_k {
                     self.queue.schedule(
-                        self.now + self.opts.recruit_delay_secs,
+                        self.now + RECRUIT_DELAY_SECS,
                         Event::RecruitPartner {
                             cluster,
                             generation,
@@ -1229,7 +1231,7 @@ impl ReferenceSimulation {
             None => {
                 // No client to promote yet; retry later.
                 self.queue.schedule(
-                    self.now + self.opts.recruit_delay_secs,
+                    self.now + RECRUIT_DELAY_SECS,
                     Event::RecruitPartner {
                         cluster,
                         generation,
@@ -1710,7 +1712,7 @@ impl ReferenceSimulation {
         // The offspring starts with a lone partner; recruit up to k.
         if self.config.redundancy_k > 1 {
             self.queue.schedule(
-                self.now + self.opts.recruit_delay_secs,
+                self.now + RECRUIT_DELAY_SECS,
                 Event::RecruitPartner {
                     cluster: new_cluster,
                     generation,
@@ -1806,7 +1808,7 @@ impl ReferenceSimulation {
             },
         });
         self.queue
-            .schedule(self.now + self.opts.sample_interval_secs, Event::Sample);
+            .schedule(self.now + SAMPLE_INTERVAL_SECS, Event::Sample);
         if self.overload.active() {
             self.overload
                 .sample(self.now, clusters as u64, &mut self.metrics.overload);

@@ -18,8 +18,6 @@
 //! (the `Engine::Fast` contract, enforced by
 //! `tests/sim_determinism.rs`).
 
-use serde::{Deserialize, Serialize};
-
 use sp_model::config::Config;
 use sp_model::faults::{FaultPlan, FaultSpec};
 use sp_model::load::Load;
@@ -106,7 +104,7 @@ pub fn steady_state(config: &Config, duration_secs: f64, seed: u64) -> SimReport
 
 /// Reliability comparison: the same configuration and churn, with and
 /// without 2-redundancy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityComparison {
     /// Availability with a single super-peer per cluster.
     pub availability_k1: f64,
@@ -150,7 +148,7 @@ pub fn reliability(config: &Config, duration_secs: f64, seed: u64) -> Reliabilit
 /// Flooding vs bounded-fanout forwarding on the same network: the
 /// routing protocol is orthogonal to the super-peer design (Section 2),
 /// trading reach/results for load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingComparison {
     /// Results per query under full flooding.
     pub results_flood: f64,
@@ -214,7 +212,7 @@ pub fn crash_storm_plan(duration_secs: f64) -> FaultPlan {
 }
 
 /// One arm of the crash-storm comparison (see [`crash_storm`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashStormReport {
     /// Queries that reached the submission path.
     pub queries_issued: u64,
@@ -276,7 +274,7 @@ impl CrashStormReport {
 
 /// Crash-storm comparison: the same fault plan against k = 1 and k = 2
 /// virtual super-peers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashStormComparison {
     /// Metrics with a single super-peer per cluster.
     pub k1: CrashStormReport,

@@ -948,6 +948,12 @@ impl ShardedSimulation {
         !self.params.overload.is_empty()
     }
 
+    /// The fault plan this run injects (from the snapshot on a restored
+    /// one).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
     /// Serializes the parked engine state (see
     /// [`run_to`](ShardedSimulation::run_to)) into a sealed snapshot.
     /// The state is canonical — per-cluster arrays indexed by global

@@ -7,11 +7,9 @@
 //! [`ConfidenceInterval`] turns them into the Student-t intervals drawn
 //! as the vertical bars in every figure.
 
-use serde::{Deserialize, Serialize};
-
 /// One-pass mean/variance accumulator (Welford), with min/max tracking
 /// and O(1) merge for parallel trial reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -159,7 +157,7 @@ pub fn t_critical_95(df: u64) -> f64 {
 
 /// A mean with its symmetric 95% confidence half-width, as reported in
 /// every figure of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (sample mean).
     pub mean: f64,

@@ -5,7 +5,8 @@
 use sp_core::experiments::{
     cluster_sweep, dynamics, epl_table, outdegree_hist, redesign, rules, Fidelity,
 };
-use sp_core::{Config, DesignConstraints, DesignGoals, Load, NetworkBuilder};
+use sp_core::sim::engine::{SimOptions, Simulation};
+use sp_core::{DesignConstraints, DesignGoals, Load, NetworkBuilder};
 
 #[test]
 fn builder_analyze_design_simulate_pipeline() {
@@ -56,13 +57,9 @@ fn builder_analyze_design_simulate_pipeline() {
 
 #[test]
 fn config_is_serializable() {
-    // Configurations are persisted by downstream tooling; the derives
-    // must stay in place. (No serialization format crate is in the
-    // approved dependency set, so this is a compile-time contract check
-    // plus structural equality.)
-    fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-    assert_serde::<Config>();
-
+    // Configurations persist inside engine checkpoints: a snapshot
+    // restores to a run that re-encodes to the same bytes, the embedded
+    // configuration included.
     let cfg = NetworkBuilder::new()
         .users(1234)
         .cluster_size(7)
@@ -72,6 +69,14 @@ fn config_is_serializable() {
     assert_eq!(copy, cfg);
     assert_eq!(copy.graph_size, 1234);
     assert_eq!(copy.redundancy_k, 2);
+    let opts = SimOptions {
+        duration_secs: 60.0,
+        seed: 3,
+        ..Default::default()
+    };
+    let snap = Simulation::new(&cfg, opts).snapshot();
+    let restored = Simulation::restore(&snap).expect("config round-trips");
+    assert_eq!(restored.snapshot(), snap);
 }
 
 #[test]
