@@ -764,7 +764,7 @@ impl Simulation {
         for s in self.rng.state() {
             w.u64(s);
         }
-        self.queue.snap(&mut w, |e, w| e.snap(w));
+        self.queue.snap(&mut w);
         self.net.snap(&mut w);
         checkpoint::snap_raw_metrics(&self.metrics, &mut w);
         checkpoint::snap_sim_metrics(&self.obs, &mut w);
@@ -821,7 +821,7 @@ impl Simulation {
         for s in &mut rng_state {
             *s = r.u64("rng state")?;
         }
-        let queue = IndexedEventQueue::unsnap(&mut r, Event::unsnap)?;
+        let queue = IndexedEventQueue::unsnap(&mut r)?;
         let net = SimNetwork::unsnap(&mut r)?;
         let metrics = checkpoint::unsnap_raw_metrics(&mut r)?;
         let obs = checkpoint::unsnap_sim_metrics(&mut r)?;

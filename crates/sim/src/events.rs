@@ -401,10 +401,10 @@ impl Default for EventHandle {
 
 /// One slab entry. `pos == FREE` marks a vacant slot awaiting reuse.
 #[derive(Debug, Clone, Copy)]
-struct Entry<E> {
+struct Entry {
     time: SimTime,
     seq: u64,
-    event: E,
+    event: Event,
     generation: u32,
     pos: u32,
 }
@@ -417,34 +417,20 @@ const FREE: u32 = u32::MAX;
 /// state allocates nothing); the heap stores slab indices and every
 /// entry tracks its heap position, so removal from the middle is a
 /// swap-with-last plus one sift. Pop order is identical to
-/// [`BinaryEventQueue`]: earliest time first, FIFO on ties.
-///
-/// Generic over the event payload so every engine can reuse the same
-/// scheduling machinery: the churn engines instantiate it with
-/// [`Event`] (the default), the sharded scale engine with its own
-/// per-shard event type.
-#[derive(Debug)]
-pub struct IndexedEventQueue<E = Event> {
-    entries: Vec<Entry<E>>,
+/// [`BinaryEventQueue`]: earliest time first, FIFO on ties. The fast
+/// churn engine is its one user; the sharded scale engine, which never
+/// cancels and schedules only whole ticks, uses a tick-keyed calendar
+/// queue of its own instead.
+#[derive(Debug, Default)]
+pub struct IndexedEventQueue {
+    entries: Vec<Entry>,
     free: Vec<u32>,
     heap: Vec<u32>,
     seq: u64,
     high_water: usize,
 }
 
-impl<E> Default for IndexedEventQueue<E> {
-    fn default() -> Self {
-        IndexedEventQueue {
-            entries: Vec::new(),
-            free: Vec::new(),
-            heap: Vec::new(),
-            seq: 0,
-            high_water: 0,
-        }
-    }
-}
-
-impl<E: Copy> IndexedEventQueue<E> {
+impl IndexedEventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
@@ -456,7 +442,7 @@ impl<E: Copy> IndexedEventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is NaN.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, time: SimTime, event: Event) -> EventHandle {
         assert!(!time.is_nan(), "cannot schedule at NaN");
         let seq = self.seq;
         self.seq += 1;
@@ -511,7 +497,7 @@ impl<E: Copy> IndexedEventQueue<E> {
     }
 
     /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         if self.heap.is_empty() {
             return None;
         }
@@ -522,9 +508,7 @@ impl<E: Copy> IndexedEventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// The timestamp of the earliest pending event, if any. Tick-based
-    /// engines use this to drain exactly the events due in the current
-    /// tick without popping ahead.
+    /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap
             .first()
@@ -552,14 +536,14 @@ impl<E: Copy> IndexedEventQueue<E> {
     /// next `schedule` reuses (and therefore which handle it returns),
     /// so a structural re-push rebuild would diverge; only a verbatim
     /// copy keeps a restored run bitwise identical.
-    pub(crate) fn snap(&self, w: &mut SnapWriter, enc: impl Fn(&E, &mut SnapWriter)) {
+    pub(crate) fn snap(&self, w: &mut SnapWriter) {
         w.len(self.entries.len());
         for e in &self.entries {
             w.f64(e.time);
             w.u64(e.seq);
             w.u32(e.generation);
             w.u32(e.pos);
-            enc(&e.event, w);
+            e.event.snap(w);
         }
         w.len(self.free.len());
         for &idx in &self.free {
@@ -575,10 +559,7 @@ impl<E: Copy> IndexedEventQueue<E> {
 
     /// Reads a queue written by [`IndexedEventQueue::snap`], validating
     /// that heap and free-list indices stay inside the slab.
-    pub(crate) fn unsnap(
-        r: &mut SnapReader<'_>,
-        dec: impl Fn(&mut SnapReader<'_>) -> Result<E, SnapshotError>,
-    ) -> Result<Self, SnapshotError> {
+    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let n_entries = r.len("queue entries len")?;
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
@@ -586,7 +567,7 @@ impl<E: Copy> IndexedEventQueue<E> {
             let seq = r.u64("entry seq")?;
             let generation = r.u32("entry generation")?;
             let pos = r.u32("entry pos")?;
-            let event = dec(r)?;
+            let event = Event::unsnap(r)?;
             entries.push(Entry {
                 time,
                 seq,
@@ -808,7 +789,7 @@ mod tests {
 
     #[test]
     fn indexed_null_handle_is_inert() {
-        let mut q = IndexedEventQueue::<Event>::new();
+        let mut q = IndexedEventQueue::new();
         assert!(EventHandle::NULL.is_null());
         assert!(EventHandle::default().is_null());
         assert!(!q.cancel(EventHandle::NULL));
@@ -892,10 +873,10 @@ mod tests {
         q.cancel(a);
         q.pop();
         let mut w = sp_model::SnapWriter::new();
-        q.snap(&mut w, |e, w| e.snap(w));
+        q.snap(&mut w);
         let data = w.seal(sp_model::snapshot::ENGINE_FAST);
         let mut r = sp_model::SnapReader::open(&data).unwrap();
-        let mut restored = IndexedEventQueue::unsnap(&mut r, Event::unsnap).unwrap();
+        let mut restored = IndexedEventQueue::unsnap(&mut r).unwrap();
         r.finish().unwrap();
         // Stale handles stay stale; live handles stay cancellable.
         // Mirror every mutation on both queues so their free lists
@@ -931,7 +912,7 @@ mod tests {
         let data = w.seal(sp_model::snapshot::ENGINE_FAST);
         let mut r = sp_model::SnapReader::open(&data).unwrap();
         assert!(matches!(
-            IndexedEventQueue::<Event>::unsnap(&mut r, Event::unsnap),
+            IndexedEventQueue::unsnap(&mut r),
             Err(sp_model::SnapshotError::Malformed(_))
         ));
     }
@@ -990,19 +971,5 @@ mod tests {
             assert_eq!(Event::unsnap(&mut r).unwrap(), *e);
         }
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn indexed_queue_is_generic_over_payload() {
-        // The scale engine instantiates the queue with its own event
-        // type; any Copy payload must work with the same ordering and
-        // cancellation semantics.
-        let mut q: IndexedEventQueue<u32> = IndexedEventQueue::new();
-        let a = q.schedule(3.0, 30);
-        q.schedule(1.0, 10);
-        q.schedule(2.0, 20);
-        assert!(q.cancel(a));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![10, 20]);
     }
 }
