@@ -11,11 +11,13 @@
 use sp_model::config::Config;
 use sp_model::faults::{FaultPlan, FaultSpec};
 use sp_model::load::Load;
+use sp_model::overload::OverloadPolicy;
 use sp_model::population::PopulationModel;
 use sp_model::repair::RepairPolicy;
 use sp_model::scenario::{CapacityClass, PhaseKind, PhaseSpec, ScenarioPlan};
+use sp_model::snapshot::fnv1a;
 use sp_sim::campaign::{run_campaign, CampaignOptions};
-use sp_sim::engine::{AdaptSettings, ForwardPolicy, SimOptions, Simulation};
+use sp_sim::engine::{AdaptSettings, ForwardPolicy, RawMetrics, SimOptions, Simulation};
 use sp_sim::reference::ReferenceSimulation;
 use sp_sim::scenario::{
     crash_storm_plan, crash_storm_trials, reliability_trials, steady_trials, SimTrialOptions,
@@ -855,4 +857,153 @@ fn scale_checkpoint_is_canonical_and_resumes_at_any_shard_count() {
         .expect("resumed scale run");
         assert_eq!(full, resumed, "scale resume diverged at {shards} shards");
     }
+}
+
+// ---- Behaviour pins ----
+//
+// The engine-equivalence tests above compare the two churn engines with
+// each other; the pins below also compare them with values recorded
+// before the engines shared their lifecycle handlers, so a handler that
+// drifts in both engines at once still fails. Each value is the FNV-1a
+// hash of the `Debug` rendering of a run's `RawMetrics` (or of raw
+// snapshot bytes), which covers every counter, float, and timeline
+// point bitwise.
+
+/// Runs a scenario on both churn engines, asserts they agree bitwise,
+/// and returns the metrics.
+fn pinned_scenario_run(config: &Config, opts: SimOptions, plan: &ScenarioPlan) -> RawMetrics {
+    let fast = Simulation::with_scenario(config, opts, plan).run();
+    let reference = ReferenceSimulation::with_scenario(config, opts, plan).run();
+    assert_eq!(fast, reference, "engines diverged on a pinned run");
+    fast
+}
+
+fn metrics_hash(m: &RawMetrics) -> u64 {
+    fnv1a(format!("{m:?}").as_bytes())
+}
+
+fn pin_config() -> Config {
+    Config {
+        graph_size: 100,
+        cluster_size: 10,
+        population: PopulationModel {
+            lifespan_mean_secs: 400.0,
+            ..Default::default()
+        },
+        ..Config::default()
+    }
+}
+
+fn pin_opts() -> SimOptions {
+    SimOptions {
+        duration_secs: 900.0,
+        seed: 42,
+        fault_seed: 7,
+        scenario_seed: 9,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn default_campaign_fingerprint_is_pinned() {
+    // `spnet campaign`'s defaults: 32 scenarios from seed 42.
+    let report = run_campaign(&CampaignOptions::default());
+    assert!(report.divergences.is_empty(), "{:?}", report.divergences);
+    assert_eq!(report.fingerprint, 0x6c22_fe5d_9bf1_4b92);
+}
+
+#[test]
+fn plain_churn_metrics_are_pinned() {
+    let m = pinned_scenario_run(&pin_config(), pin_opts(), &ScenarioPlan::default());
+    assert!(m.cluster_failures > 0 && m.orphan_events > 0);
+    let hash = metrics_hash(&m);
+    assert_eq!(hash, 0x293d_7ddd_809a_6436, "plain churn: {hash:#018x}");
+}
+
+#[test]
+fn crash_storm_repair_metrics_are_pinned() {
+    let config = pin_config().with_redundancy(true);
+    let opts = SimOptions {
+        repair: RepairPolicy::PromotePartner,
+        ..pin_opts()
+    };
+    let plan = crash_storm_plan(opts.duration_secs);
+    let fast = Simulation::with_faults(&config, opts, &plan).run();
+    let reference = ReferenceSimulation::with_faults(&config, opts, &plan).run();
+    assert_eq!(
+        fast, reference,
+        "engines diverged on the pinned crash storm"
+    );
+    assert!(fast.repair.promotions > 0 && fast.repair.partner_recruitments > 0);
+    let hash = metrics_hash(&fast);
+    assert_eq!(hash, 0x2400_f3c4_2168_9c4c, "crash storm: {hash:#018x}");
+}
+
+#[test]
+fn flash_crowd_overload_metrics_are_pinned() {
+    let config = pin_config();
+    let plan = ScenarioPlan {
+        phases: vec![PhaseSpec {
+            rate_mult: 1.0,
+            from_secs: 200.0,
+            until_secs: 600.0,
+            kind: PhaseKind::FlashCrowd {
+                query_rate_mult: 10.0,
+                hot_shift: 7,
+            },
+        }],
+        overload: OverloadPolicy::sized_for(&config),
+        ..Default::default()
+    };
+    let m = pinned_scenario_run(&config, pin_opts(), &plan);
+    assert!(m.overload.shed_discipline > 0 && m.overload.brownout_entries > 0);
+    let hash = metrics_hash(&m);
+    assert_eq!(hash, 0xd322_6b1f_23ff_1df8, "flash crowd: {hash:#018x}");
+}
+
+/// A churn burst, a mass leave, and a split window.
+fn pin_phase_plan() -> ScenarioPlan {
+    let phase = |from_secs, until_secs, kind| PhaseSpec {
+        rate_mult: 1.0,
+        from_secs,
+        until_secs,
+        kind,
+    };
+    ScenarioPlan {
+        phases: vec![
+            phase(100.0, 500.0, PhaseKind::ChurnBurst { lifespan_mult: 0.4 }),
+            phase(300.0, 320.0, PhaseKind::MassLeave { fraction: 0.25 }),
+            phase(400.0, 700.0, PhaseKind::Split { fraction: 0.3 }),
+        ],
+        ..Default::default()
+    }
+}
+
+#[test]
+fn churn_burst_mass_leave_split_metrics_are_pinned() {
+    let m = pinned_scenario_run(&pin_config(), pin_opts(), &pin_phase_plan());
+    assert!(m.faults.injected_partition_block > 0);
+    let hash = metrics_hash(&m);
+    assert_eq!(hash, 0xf488_f953_2f5d_5b74, "phases: {hash:#018x}");
+}
+
+#[test]
+fn mid_run_snapshot_bytes_are_pinned() {
+    // Snapshots carry the event queue verbatim (the fast engine's slab,
+    // free list, and timer handles; the reference engine's heap), so
+    // these pins also catch a timer scheduled, cancelled, or cleared in
+    // a different order.
+    let config = pin_config().with_redundancy(true);
+    let plan = pin_phase_plan();
+    let mut fast = Simulation::with_scenario(&config, pin_opts(), &plan);
+    fast.run_to(450.0);
+    let hash = fnv1a(&fast.snapshot());
+    assert_eq!(hash, 0x0e5b_1f87_9413_e779, "fast snapshot: {hash:#018x}");
+    let mut reference = ReferenceSimulation::with_scenario(&config, pin_opts(), &plan);
+    reference.run_to(450.0);
+    let hash = fnv1a(&reference.snapshot());
+    assert_eq!(
+        hash, 0x1d26_74d4_2387_034a,
+        "reference snapshot: {hash:#018x}"
+    );
 }
