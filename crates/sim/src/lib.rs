@@ -29,21 +29,26 @@
 //! RNG streams keeping the reduced results bitwise identical at any
 //! thread count (see [`scenario::run_sim_trials`]).
 //!
-//! Two engines implement the same simulator: [`engine::Simulation`]
-//! (indexed event queue with O(log n) churn cancellation, pooled
-//! scratch buffers, cached connection counts) and
-//! [`reference::ReferenceSimulation`] (the original implementation,
-//! kept as the behavioral oracle and performance baseline). They
+//! Two churn engines share one core, [`engine::ChurnEngine`], which
+//! writes every lifecycle handler once and is generic over the five
+//! [`engine::Mechanics`] in which the engines differ: the event queue
+//! and timers, member-list copies, partner-connection counts, the
+//! query tail after overload admission, and bookkeeping.
+//! [`engine::Simulation`] uses the fast mechanics (indexed event queue
+//! with O(log n) churn cancellation, pooled scratch buffers, cached
+//! connection counts, fused flood and charge);
+//! [`reference::ReferenceSimulation`] keeps the plain ones as the
+//! oracle and performance baseline for those optimizations. They
 //! produce bitwise-identical [`engine::RawMetrics`] on every seed;
-//! `tests/sim_determinism.rs` enforces it. A third engine,
-//! [`shard::ShardedSimulation`], trades per-peer lifecycle fidelity
-//! for scale: shared-nothing per-shard reactors exchanging messages at
-//! tick barriers, bitwise identical at any shard count, sized for
-//! million-peer overlays (see the [`shard`] module docs and DESIGN.md
-//! §15). The [`metrics`] module adds
-//! engine observability: event-rate counters, queue high-water marks,
-//! optional per-event-type wall-time histograms, and a structured run
-//! manifest.
+//! `tests/sim_determinism.rs` enforces it and also pins recorded
+//! hashes of a few runs, which guard the shared handlers. A third
+//! engine, [`shard::ShardedSimulation`], trades per-peer lifecycle
+//! fidelity for scale: shared-nothing per-shard reactors exchanging
+//! messages at tick barriers, bitwise identical at any shard count,
+//! sized for million-peer overlays (see the [`shard`] module docs and
+//! DESIGN.md §15). The [`metrics`] module adds engine observability:
+//! event-rate counters, queue high-water marks, optional
+//! per-event-type wall-time histograms, and a structured run manifest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,8 +80,7 @@ pub use phases::{PhaseAction, ScenarioState};
 pub use reference::ReferenceSimulation;
 pub use repair::{ReachPoint, RepairMetrics};
 pub use scenario::{
-    adaptive, adaptive_trials, crash_storm, crash_storm_trials, reliability, reliability_trials,
-    routing, routing_trials, run_sim_trials, steady_state, steady_trials, AdaptOptions, SimReport,
-    SimTrialOptions,
+    adaptive, crash_storm, crash_storm_trials, reliability, reliability_trials, routing,
+    run_sim_trials, steady_state, steady_trials, AdaptOptions, SimReport, SimTrialOptions,
 };
 pub use shard::{ScaleDiag, ScaleMetrics, ScaleOptions, ShardFailure, ShardedSimulation};
