@@ -8,9 +8,10 @@
 //! * [`adaptive`] — the Section 5.3 local rules in action: start from a
 //!   deliberately bad configuration and watch the network reorganize.
 //!
-//! Every scenario also has a *sharded trials* variant
-//! ([`reliability_trials`], [`routing_trials`], [`adaptive_trials`],
-//! [`steady_trials`]) built on [`run_sim_trials`]: independent trials
+//! The steady-state, reliability, and crash-storm experiments also
+//! have *sharded trials* variants ([`steady_trials`],
+//! [`reliability_trials`], [`crash_storm_trials`]) built on
+//! [`run_sim_trials`]: independent trials
 //! fan out over the same thread-budget cascade as
 //! `sp_model::run_trials`, each trial draws from its own RNG split,
 //! and per-trial results are collected *by trial index* before
@@ -576,76 +577,6 @@ pub fn crash_storm_trials(
         availability_k2: ci_of(per_trial.iter().map(|c| c.k2.availability)),
         min_reachable_k1: ci_of(per_trial.iter().map(|c| c.k1.min_reachable_since_storm)),
         min_reachable_k2: ci_of(per_trial.iter().map(|c| c.k2.min_reachable_since_storm)),
-        per_trial,
-    }
-}
-
-/// Mean ± 95% CI over sharded [`routing`] trials.
-#[derive(Debug, Clone)]
-pub struct RoutingTrialSummary {
-    /// Results per query under full flooding.
-    pub results_flood: ConfidenceInterval,
-    /// Results per query under bounded fanout.
-    pub results_subset: ConfidenceInterval,
-    /// Mean super-peer total bandwidth under full flooding (bps).
-    pub sp_bw_flood: ConfidenceInterval,
-    /// Mean super-peer total bandwidth under bounded fanout (bps).
-    pub sp_bw_subset: ConfidenceInterval,
-    /// The full comparisons, ordered by trial index.
-    pub per_trial: Vec<RoutingComparison>,
-}
-
-/// Runs sharded [`routing`] trials.
-pub fn routing_trials(
-    config: &Config,
-    fanout: usize,
-    duration_secs: f64,
-    opts: &SimTrialOptions,
-) -> RoutingTrialSummary {
-    let opts = SimTrialOptions {
-        kind: "routing",
-        ..*opts
-    };
-    let per_trial = run_sim_trials(&opts, |seed, _| {
-        routing(config, fanout, duration_secs, seed)
-    });
-    RoutingTrialSummary {
-        results_flood: ci_of(per_trial.iter().map(|c| c.results_flood)),
-        results_subset: ci_of(per_trial.iter().map(|c| c.results_subset)),
-        sp_bw_flood: ci_of(per_trial.iter().map(|c| c.sp_bw_flood)),
-        sp_bw_subset: ci_of(per_trial.iter().map(|c| c.sp_bw_subset)),
-        per_trial,
-    }
-}
-
-/// Mean ± 95% CI over sharded [`adaptive`] trials.
-#[derive(Debug, Clone)]
-pub struct AdaptiveTrialSummary {
-    /// Local-rule actions applied per trial.
-    pub adapt_actions: ConfidenceInterval,
-    /// Client availability in [0, 1].
-    pub availability: ConfidenceInterval,
-    /// The full reports, ordered by trial index.
-    pub per_trial: Vec<SimReport>,
-}
-
-/// Runs sharded [`adaptive`] trials.
-pub fn adaptive_trials(
-    config: &Config,
-    duration_secs: f64,
-    adapt: AdaptOptions,
-    opts: &SimTrialOptions,
-) -> AdaptiveTrialSummary {
-    let opts = SimTrialOptions {
-        kind: "adaptive",
-        ..*opts
-    };
-    let per_trial = run_sim_trials(&opts, |seed, _| {
-        adaptive(config, duration_secs, seed, adapt)
-    });
-    AdaptiveTrialSummary {
-        adapt_actions: ci_of(per_trial.iter().map(|r| r.adapt_actions as f64)),
-        availability: ci_of(per_trial.iter().map(|r| r.availability)),
         per_trial,
     }
 }
