@@ -4,13 +4,11 @@
 //! a single `u64` seed: the paper's figures are averages over repeated
 //! trials, and regenerating a figure must yield the same rows every
 //! time. [`SpRng`] wraps a fixed-algorithm generator (xoshiro256++
-//! seeded through SplitMix64) rather than `rand::rngs::StdRng` so the
-//! stream is stable across `rand` versions, and adds *splitting*: each
+//! seeded through SplitMix64) implemented here, so the stream is pinned
+//! by this crate rather than a dependency, and adds *splitting*: each
 //! trial, node, or subsystem derives an independent child stream, so
 //! adding a sampling site in one module never perturbs the draws seen
 //! by another.
-
-use rand::RngCore;
 
 /// SplitMix64 step, used for seeding and stream derivation.
 ///
@@ -33,18 +31,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// here require — implemented locally so that the byte stream is pinned
 /// by this crate, not by a dependency's internals.
 ///
-/// `SpRng` implements [`rand::RngCore`], so every `rand` adapter
-/// (ranges, shuffles, `Distribution`s) works on it.
-///
 /// # Examples
 ///
 /// ```
-/// use rand::Rng;
 /// use sp_stats::SpRng;
 ///
 /// let mut a = SpRng::seed_from_u64(42);
 /// let mut b = SpRng::seed_from_u64(42);
-/// assert_eq!(a.random::<u64>(), b.random::<u64>());
+/// assert_eq!(a.next_raw(), b.next_raw());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpRng {
@@ -218,30 +212,6 @@ impl SpRng {
     }
 }
 
-impl RngCore for SpRng {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,13 +329,5 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(restored.next_raw(), rng.next_raw());
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SpRng::seed_from_u64(8);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }
