@@ -26,6 +26,13 @@
 //!   — issued = lost + delivered + shed + rejected), in both engines,
 //! * sane repair/availability invariants (fractions inside `[0, 1]`).
 //!
+//! The two engines share their lifecycle handlers (see
+//! [`crate::engine`]), so the equality checks the fast engine's
+//! mechanics under each generated regime; a drifting handler moves
+//! both engines alike and is caught by the fingerprint instead, which
+//! CI and `tests/sim_determinism.rs` compare with its recorded seed-42
+//! value.
+//!
 //! Because the campaign fingerprint hashes the full `RawMetrics`
 //! rendering, the overload ledger (shed/reject counters, latency
 //! histogram, queue timeline) folds into it automatically: a run that
