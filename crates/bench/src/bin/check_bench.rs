@@ -20,6 +20,11 @@
 //! `speedup_vs_reference`) are compared; absolute wall times and event
 //! counts are checked only between runs of the same mode.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "D2 allowlist: the perf gate reads CHECK_BENCH_TOL"
+)]
+
 use std::collections::HashMap;
 use std::process::ExitCode;
 

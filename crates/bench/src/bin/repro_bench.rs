@@ -61,6 +61,12 @@
 //! `REPRO_SECTIONS=scale` so the monotonic `VmHWM` snapshot after the
 //! million-peer run is not inflated by the analysis instance).
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "D2 allowlist: the benchmark times every section and reads REPRO_* and SP_THREADS"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

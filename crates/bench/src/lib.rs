@@ -9,6 +9,11 @@
 //! * `SP_THREADS=<n>` — cap the worker-thread budget (default: one
 //!   worker per core; never changes the reported numbers).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "D2 allowlist: REPRO_QUICK, REPRO_SEED and SP_THREADS select the run mode"
+)]
+
 use sp_core::experiments::Fidelity;
 
 /// Whether quick mode is requested.

@@ -95,7 +95,7 @@ impl Args {
     /// (Every current subcommand ships a sensible default instead, but
     /// the parser keeps the strict variant for future commands and for
     /// tests.)
-    #[allow(dead_code)]
+    #[allow(dead_code, reason = "kept for future commands and for tests")]
     pub fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgError> {
         let raw = self
             .get(name)

@@ -407,26 +407,6 @@ static EPL_USAGE: CommandUsage = CommandUsage {
     examples: &["spnet epl --outdegrees 3.1,10,20 --reaches 100,500"],
 };
 
-static LINT_USAGE: CommandUsage = CommandUsage {
-    name: "lint",
-    summary: "sp-lint determinism-and-safety static analysis (CI gate)",
-    options: &[
-        ("--root DIR", "workspace root to scan (default .)"),
-        (
-            "--config FILE",
-            "lint policy file (default <root>/lint.toml)",
-        ),
-        ("--json P", "also write machine-readable findings to P"),
-        (
-            "--sarif P",
-            "also write a SARIF 2.1.0 report to P (code scanning)",
-        ),
-        ("--warnings", "list warn-level findings (always counted)"),
-    ],
-    topology: false,
-    examples: &["spnet lint --json lint_report.json --sarif lint.sarif --warnings"],
-};
-
 /// `spnet evaluate` — mean-value analysis of one configuration.
 pub fn evaluate(args: &Args) -> Result<String, CliError> {
     if let Some(text) = EVALUATE_USAGE.gate(args)? {
@@ -1267,51 +1247,6 @@ pub fn epl(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `spnet lint` — the workspace determinism-and-safety static
-/// analysis (sp-lint), wired into the CLI so `spnet lint` at the
-/// repo root is the local mirror of the CI gate.
-///
-/// Findings at deny level are a *runtime* failure (exit 1): the
-/// invocation was fine, the tree is not. Configuration problems —
-/// unknown options, a malformed `lint.toml` — are usage errors
-/// (exit 2), matching the workspace exit-code convention.
-pub fn lint(args: &Args) -> Result<String, CliError> {
-    if let Some(text) = LINT_USAGE.gate(args)? {
-        return Ok(text);
-    }
-    let root = std::path::PathBuf::from(args.get("root").unwrap_or("."));
-    let cfg = match args.get("config") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Usage(format!("--config: cannot read {path:?}: {e}")))?;
-            sp_lint::LintConfig::parse(&text).map_err(CliError::Usage)?
-        }
-        None => sp_lint::load_config(&root).map_err(CliError::Usage)?,
-    };
-    let report = sp_lint::lint_workspace(&root, &cfg)
-        .map_err(|e| CliError::Runtime(format!("lint failed: {e}")))?;
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, report.render_json())
-            .map_err(|e| CliError::Runtime(format!("--json: cannot write {path:?}: {e}")))?;
-    }
-    if let Some(path) = args.get("sarif") {
-        std::fs::write(path, sp_lint::sarif::render_sarif(&report, &cfg))
-            .map_err(|e| CliError::Runtime(format!("--sarif: cannot write {path:?}: {e}")))?;
-    }
-    let human = report.render_human(args.flag("warnings"));
-    if report.deny_count() > 0 {
-        // Findings go to stdout here (like --metrics-json writes its
-        // file); the error path stays a single `error: …` line per
-        // the workspace policy.
-        print!("{human}");
-        return Err(CliError::Runtime(format!(
-            "lint: {} deny-level finding(s)",
-            report.deny_count()
-        )));
-    }
-    Ok(human.trim_end().to_string())
-}
-
 /// `spnet campaign` — the differential scenario campaign: `--count`
 /// seeded [`ScenarioPlan`]s generated from `--seed`, each run through
 /// both the fast and the reference engine with a bitwise oracle
@@ -1454,8 +1389,8 @@ pub fn campaign(args: &Args) -> Result<String, CliError> {
             std::fs::write(&path, d.reproducer_json(&opts))
                 .map_err(|e| CliError::Runtime(format!("cannot write reproducer {path:?}: {e}")))?;
         }
-        // Findings go to stdout (like `spnet lint`); the error path
-        // stays a single `error: …` line per the workspace policy.
+        // Findings go to stdout; the error path stays a single
+        // `error: …` line per the workspace policy.
         let mut findings = format!("{}\n{}\n", t.render(), report.summary_line());
         for d in &report.divergences {
             findings.push_str(&format!(
@@ -1495,7 +1430,6 @@ pub fn help() -> String {
         &CAMPAIGN_USAGE,
         &SWEEP_USAGE,
         &EPL_USAGE,
-        &LINT_USAGE,
     ])
 }
 
@@ -2007,9 +1941,7 @@ mod tests {
     #[test]
     fn help_mentions_every_command() {
         let h = help();
-        for cmd in [
-            "evaluate", "design", "simulate", "campaign", "sweep", "epl", "lint",
-        ] {
+        for cmd in ["evaluate", "design", "simulate", "campaign", "sweep", "epl"] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
         assert!(h.contains("Exit codes"));
@@ -2031,7 +1963,6 @@ mod tests {
             ("campaign", campaign),
             ("sweep", sweep),
             ("epl", epl),
-            ("lint", lint),
         ] {
             let text = cmd(&helped).unwrap();
             assert!(
@@ -2208,24 +2139,6 @@ mod tests {
         let err = simulate(&args(&["--users", "100", "--scenario-seed", "9"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("--scenario-seed"));
-    }
-
-    #[test]
-    fn lint_rejects_unknown_option() {
-        let err = lint(&args(&["--rootz", "."])).unwrap_err();
-        assert!(err.to_string().contains("rootz"));
-        assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
-    fn lint_rejects_malformed_config() {
-        let dir = std::env::temp_dir().join("sp_cli_lint_cfg_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = dir.join("bad_lint.toml");
-        std::fs::write(&cfg, "[severity]\nD9 = \"deny\"\n").unwrap();
-        let err = lint(&args(&["--config", cfg.to_str().unwrap()])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "config errors are usage errors: {err}");
-        assert!(err.to_string().contains("D9"));
     }
 
     #[test]
@@ -2735,20 +2648,5 @@ mod tests {
         let err = campaign(&args(&["--resume", "r.json", "--count", "5"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("--count"));
-    }
-
-    #[test]
-    fn lint_clean_workspace_passes() {
-        // Run against the real workspace root (two levels above the
-        // sp-cli manifest) with the checked-in policy: this is the
-        // same invocation the CI gate performs.
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap();
-        let out = lint(&args(&["--root", root.to_str().unwrap()])).unwrap();
-        assert!(out.contains("sp-lint:"), "unexpected report: {out}");
-        assert!(out.contains("0 error(s)"), "unexpected report: {out}");
     }
 }

@@ -5,6 +5,9 @@
 //! the `sp-core` public API, so anything the CLI does is equally
 //! available as a library call.
 
+// S2 of the static determinism contract (DESIGN.md §13).
+#![deny(clippy::unwrap_used)]
+
 mod args;
 mod commands;
 mod error;
@@ -36,7 +39,6 @@ fn main() -> ExitCode {
         "campaign" => commands::campaign(&parsed),
         "sweep" => commands::sweep(&parsed),
         "epl" => commands::epl(&parsed),
-        "lint" => commands::lint(&parsed),
         "help" | "--help" | "-h" => Ok(commands::help()),
         other => Err(CliError::Usage(format!(
             "unknown command {other:?} — run `spnet help`"

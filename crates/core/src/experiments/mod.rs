@@ -109,6 +109,10 @@ where
         return (0..n_cells).map(|c| run(c, inner)).collect();
     }
 
+    #[allow(
+        clippy::disallowed_types,
+        reason = "F2 sanctioned: a work-claim counter; cells land in their own slots"
+    )]
     let next = std::sync::atomic::AtomicUsize::new(0);
     let mut slots: Vec<Option<O>> = (0..n_cells).map(|_| None).collect();
     std::thread::scope(|scope| {

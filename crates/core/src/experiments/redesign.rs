@@ -190,6 +190,10 @@ pub fn run(
     let rank = |cfg: &Config| -> (Vec<f64>, Option<RankSummary>) {
         // One representative instance, exact (all sources) so every
         // node's load is fully accounted.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "R1b seed root: the redesign ranking's representative instance"
+        )]
         let mut rng = SpRng::seed_from_u64(fid.seed ^ 0x000F_1612);
         let inst = NetworkInstance::generate(cfg, &mut rng).expect("valid config");
         let model = QueryModel::from_config(&cfg.query_model);

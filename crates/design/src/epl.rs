@@ -75,6 +75,10 @@ impl EplPredictor {
             !outdegrees.is_empty() && !reaches.is_empty() && n > 0,
             "need outdegrees, reaches, and nodes"
         );
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "R1b seed root: EPL measurement owns its seed"
+        )]
         let mut rng = SpRng::seed_from_u64(seed);
         let mut epl = vec![vec![f64::NAN; outdegrees.len()]; reaches.len()];
         for (di, &d) in outdegrees.iter().enumerate() {

@@ -4,12 +4,13 @@
 //!
 //! `HashSet`'s SipHash keys are randomized per process, which makes
 //! its *iteration order* non-reproducible — the exact hazard class
-//! sp-lint rule D1 bans from deterministic crates. Membership-only
-//! use never observes iteration order, but a fixed-function table
-//! removes the hazard by construction (no order to observe, no
-//! per-process state) and is faster: open addressing with a
-//! SplitMix64-style mixer and linear probing, O(1) amortized insert,
-//! no hasher state, no tombstones (the wirer only ever inserts).
+//! rule D1 (DESIGN.md §13) bans from deterministic crates.
+//! Membership-only use never observes iteration order, but a
+//! fixed-function table removes the hazard by construction (no order
+//! to observe, no per-process state) and is faster: open addressing
+//! with a SplitMix64-style mixer and linear probing, O(1) amortized
+//! insert, no hasher state, no tombstones (the wirer only ever
+//! inserts).
 
 use crate::graph::NodeId;
 

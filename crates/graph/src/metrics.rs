@@ -169,6 +169,10 @@ pub fn min_ttl_for_reach(avg_outdegree: f64, desired_reach: usize, max_ttl: u16)
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use crate::generate::{complete, plod, ring, PlodConfig};

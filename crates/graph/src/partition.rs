@@ -20,8 +20,8 @@
 //!
 //! Component count and largest-component weight are maintained as
 //! running aggregates, so reading them is O(1). All state is plain
-//! vectors indexed by node id: deterministic by construction (sp-lint
-//! rule D1 — no hashed containers), no RNG, no iteration-order
+//! vectors indexed by node id: deterministic by construction (rule D1
+//! of DESIGN.md §13 — no hashed containers), no RNG, no iteration-order
 //! dependence (union-find aggregates are merge-order independent).
 
 /// Weighted union-find over `u32` node ids with O(1) epoch reset.

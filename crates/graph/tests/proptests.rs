@@ -1,5 +1,10 @@
 //! Property-based tests for the graph substrate.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
+
 use proptest::prelude::*;
 use sp_graph::generate::{erdos_renyi, plod, random_regular, PlodConfig};
 use sp_graph::metrics::{components, is_connected, reach};

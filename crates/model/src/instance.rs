@@ -344,6 +344,10 @@ impl NetworkInstance {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use crate::config::GraphType;

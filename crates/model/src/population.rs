@@ -122,6 +122,10 @@ impl PopulationModel {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use sp_stats::OnlineStats;

@@ -202,8 +202,9 @@ impl QueryModel {
 /// times (cluster index sizes repeat across sources), so the cache
 /// turns an O(num_classes) evaluation into a cheap probe. A `BTreeMap`
 /// rather than `HashMap` keeps the crate free of randomized-hash
-/// containers (sp-lint D1); the tree stays tiny (distinct index sizes),
-/// so the O(log n) probe is noise next to the O(num_classes) miss path.
+/// containers (rule D1, DESIGN.md §13); the tree stays tiny (distinct
+/// index sizes), so the O(log n) probe is noise next to the
+/// O(num_classes) miss path.
 #[derive(Debug, Default)]
 pub struct MatchCache {
     memo: BTreeMap<u32, f64>,
@@ -242,6 +243,10 @@ impl MatchCache {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
 

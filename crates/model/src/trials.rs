@@ -271,6 +271,10 @@ pub fn run_trials(config: &Config, opts: &TrialOptions) -> TrialSummary {
     assert!(opts.trials > 0, "need at least one trial");
 
     let model = QueryModel::from_config(&config.query_model);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: every trial stream splits from opts.seed"
+    )]
     let root = SpRng::seed_from_u64(opts.seed);
     let budget = resolve_thread_budget(opts.threads);
     // Trials claim outer workers first (they are perfectly independent);

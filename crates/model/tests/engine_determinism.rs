@@ -11,6 +11,11 @@
 //!
 //! across topology family, redundancy, and source sampling.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
+
 use sp_model::analysis::{analyze, AnalysisOptions, AnalysisResult, Engine};
 use sp_model::config::{Config, GraphType};
 use sp_model::instance::NetworkInstance;

@@ -1,5 +1,10 @@
 //! Property-based tests for the analysis engine's invariants.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
+
 use proptest::prelude::*;
 use sp_model::analysis::{analyze, AnalysisOptions};
 use sp_model::config::{Config, GraphType};

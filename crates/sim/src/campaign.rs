@@ -240,7 +240,10 @@ impl Quarantine {
 /// The shared reproducer-document renderer: population shape,
 /// duration, campaign seed, per-trial seeds, grammar version, kind
 /// tag, reason, and the embedded scenario plan (always the last key).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per key of the reproducer document"
+)]
 fn reproducer_document(
     opts: &CampaignOptions,
     index: usize,
@@ -601,6 +604,10 @@ pub fn run_campaign_with(
     // trial-seed consistency check (same derivation as
     // `run_sim_trials`, so a report from different options skips
     // nothing instead of poisoning the fold).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: trial seeds, derived as run_sim_trials does"
+    )]
     let root = SpRng::seed_from_u64(opts.seed);
     let skip: std::collections::BTreeMap<usize, u64> = resume
         .map(|r| {
@@ -711,6 +718,10 @@ fn run_one(
     completed_fingerprint: Option<u64>,
     inject: Option<usize>,
 ) -> ScenarioOutcome {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: one scenario plan per trial seed"
+    )]
     let mut rng = SpRng::seed_from_u64(trial_seed);
     let plan = generate_plan(&mut rng, config, duration);
     let sim_seed = rng.next_raw();
@@ -1090,6 +1101,10 @@ fn indent_embedded(out: &mut String, doc: &str) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
 

@@ -482,6 +482,10 @@ impl<M: Mechanics> ChurnEngine<M> {
 
     fn build(config: &Config, opts: SimOptions, plan: &FaultPlan, scenario: &ScenarioPlan) -> Self {
         plan.validate().expect("invalid fault plan");
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "R1b seed root: a run's instance and engine streams"
+        )]
         let mut rng = SpRng::seed_from_u64(opts.seed);
         let inst = NetworkInstance::generate(config, &mut rng).expect("invalid configuration");
         let mut sim = ChurnEngine {
@@ -620,6 +624,10 @@ impl<M: Mechanics> ChurnEngine<M> {
     /// of panicking; derived state (query model, fault windows,
     /// scenario tables) is rebuilt from them rather than trusted from
     /// the wire.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: a checkpoint restores the engine RNG position"
+    )]
     pub fn restore(data: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapReader::open(data)?;
         r.expect_engine(M::ENGINE)?;
@@ -921,7 +929,10 @@ impl<M: Mechanics> ChurnEngine<M> {
 
     // ---- message charging ----
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "both endpoints' bytes, units and connection counts, charged in one call"
+    )]
     pub(crate) fn charge_pair(
         &mut self,
         from: PeerId,
@@ -953,7 +964,10 @@ impl<M: Mechanics> ChurnEngine<M> {
     /// charge sequences are order-insensitive here — every client-side
     /// charge in a sequence is the identical value — so batching drops
     /// before flakes is bitwise exact.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the failed attempts' counts and costs, batched into one charge"
+    )]
     fn charge_submission_failures(
         &mut self,
         client: PeerId,
@@ -2962,7 +2976,10 @@ fn flood_snapshot_into(
 /// Free-function core of [`ChurnEngine::charge_pair`] for the hot
 /// response path, callable while the caller holds disjoint borrows of
 /// other engine fields.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors ChurnEngine::charge_pair over a borrowed network"
+)]
 #[inline]
 fn charge_pair_net(
     net: &mut SimNetwork,

@@ -313,6 +313,10 @@ pub struct FaultState {
 impl FaultState {
     /// Builds the state for a plan. An empty plan produces an inert
     /// state: no draws, no blocked edges, no retry caps.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: the fault stream comes from fault_seed"
+    )]
     pub fn new(plan: FaultPlan, fault_seed: u64) -> FaultState {
         let n = plan.faults.len();
         FaultState {
@@ -579,6 +583,10 @@ impl FaultState {
     /// Restores the mutable state written by
     /// [`FaultState::snap_state`] into a freshly built `FaultState`
     /// (same plan, any seed — the RNG position is overwritten).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: a checkpoint restores the fault RNG position"
+    )]
     pub(crate) fn unsnap_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let mut s = [0u64; 4];
         for word in &mut s {

@@ -12,6 +12,10 @@
 //! [`RunManifest::to_json`] renders JSON by hand — the same approach
 //! `repro_bench` uses for its `BENCH_*.json` artifacts.
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "D2 allowlist: the simulator's one clock read, for the opt-in profile"
+)]
 use std::time::Instant;
 
 use crate::events::Event;
@@ -181,16 +185,24 @@ impl WallHistogram {
 /// An in-flight wall-time measurement for one event handler.
 ///
 /// The wall-clock read lives *here*, not in the engine: this module is
-/// the sim crate's only member of the sp-lint D2 observability
-/// allowlist, so every `Instant::now` the simulator ever performs is
-/// auditable in one file. A disabled timer (profiling off) is a
-/// `None` and costs one branch.
+/// the sim crate's only exception to the D2 clock ban (DESIGN.md §13),
+/// so every `Instant::now` the simulator ever performs is auditable in
+/// one file. A disabled timer (profiling off) is a `None` and costs
+/// one branch.
 #[derive(Debug)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "D2 allowlist: the simulator's one clock read, for the opt-in profile"
+)]
 pub struct ProfileTimer(Option<Instant>);
 
 impl ProfileTimer {
     /// Starts a measurement when `enabled`; otherwise an inert timer.
     #[inline]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "D2 allowlist: the simulator's one clock read, for the opt-in profile"
+    )]
     pub fn start(enabled: bool) -> ProfileTimer {
         ProfileTimer(enabled.then(Instant::now))
     }

@@ -697,6 +697,10 @@ impl SimNetwork {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
 

@@ -101,6 +101,10 @@ impl ScenarioState {
     /// # Panics
     ///
     /// Panics if the plan is invalid.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: the scenario stream comes from scenario_seed"
+    )]
     pub fn new(plan: &ScenarioPlan, scenario_seed: u64) -> ScenarioState {
         plan.validate().expect("invalid scenario plan");
         let n = plan.phases.len();
@@ -335,6 +339,10 @@ impl ScenarioState {
     /// Restores the mutable state written by
     /// [`ScenarioState::snap_state`] into a freshly built state for the
     /// same plan.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: a checkpoint restores the scenario RNG position"
+    )]
     pub(crate) fn unsnap_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let mut s = [0u64; 4];
         for word in &mut s {

@@ -389,6 +389,10 @@ where
     F: Fn(u64, usize) -> T + Sync,
 {
     assert!(opts.trials > 0, "need at least one trial");
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "R1b seed root: every trial seed splits from opts.seed"
+    )]
     let root = SpRng::seed_from_u64(opts.seed);
     let trial_seed = |t: usize| root.split(t as u64).next_raw();
 

@@ -5,6 +5,11 @@
 //! under *any* generated fault plan the fast and reference engines
 //! agree bitwise and the query-accounting conservation law holds.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
+
 use proptest::prelude::*;
 use sp_model::faults::{FaultPlan, FaultSpec};
 use sp_model::overload::{BrownoutConfig, OverloadPolicy, ShedDiscipline};

@@ -5,6 +5,11 @@
 //! exist) must remove exactly the cancelled event — never an event
 //! that already fired, and never a recycled slot's new occupant.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
+
 use sp_sim::events::{BinaryEventQueue, Event, EventHandle, IndexedEventQueue, PeerId};
 use sp_stats::SpRng;
 

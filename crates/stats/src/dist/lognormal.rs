@@ -83,6 +83,10 @@ impl Sampler<f64> for LogNormal {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use crate::summary::OnlineStats;

@@ -133,6 +133,10 @@ impl Sampler<u64> for TruncatedDiscreteNormal {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use crate::summary::OnlineStats;

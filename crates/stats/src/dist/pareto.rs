@@ -81,6 +81,10 @@ impl Sampler<f64> for BoundedPareto {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use crate::summary::OnlineStats;

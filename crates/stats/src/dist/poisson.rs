@@ -62,6 +62,10 @@ impl Sampler<u64> for Poisson {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
     use crate::summary::OnlineStats;

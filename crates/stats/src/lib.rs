@@ -32,6 +32,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// S2 and P1 of the static determinism contract (DESIGN.md §13).
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod dist;
 pub mod histogram;

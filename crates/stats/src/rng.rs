@@ -213,6 +213,10 @@ impl SpRng {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
 

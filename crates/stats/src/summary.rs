@@ -218,6 +218,10 @@ impl std::fmt::Display for ConfidenceInterval {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,10 @@
 //! Property-based tests for the statistics substrate.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "R1b exempts tests: each test mints its own root"
+)]
+
 use proptest::prelude::*;
 use sp_stats::dist::Sampler;
 use sp_stats::{quantile, rank_curve, Empirical, OnlineStats, SpRng, Zipf};
