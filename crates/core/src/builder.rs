@@ -121,21 +121,6 @@ impl NetworkBuilder {
         )
     }
 
-    /// Like [`evaluate`](Self::evaluate) but sampling at most
-    /// `max_sources` source clusters per instance — much faster on
-    /// large networks, unbiased for aggregate metrics.
-    pub fn evaluate_sampled(&self, trials: usize, seed: u64, max_sources: usize) -> TrialSummary {
-        run_trials(
-            &self.config,
-            &TrialOptions {
-                trials,
-                seed,
-                max_sources: Some(max_sources),
-                ..Default::default()
-            },
-        )
-    }
-
     /// Runs the discrete-event simulator for `duration_secs` of
     /// simulated time.
     pub fn simulate(&self, duration_secs: f64, seed: u64) -> SimReport {

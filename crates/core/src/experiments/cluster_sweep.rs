@@ -245,6 +245,31 @@ mod tests {
     }
 
     #[test]
+    fn sweep_is_bitwise_identical_at_any_thread_count() {
+        // One cell, so the whole budget reaches its nine trials. Debug
+        // prints every f64 in its shortest round-trip form, so equal
+        // text means equal bits.
+        let sweep = |threads| {
+            run(
+                600,
+                &[30],
+                &paper_systems()[2..3],
+                None,
+                &Fidelity {
+                    trials: 3,
+                    threads,
+                    ..Fidelity::quick()
+                },
+            )
+        };
+        let (one, two) = (sweep(1), sweep(2));
+        assert_eq!(one.cells.len(), two.cells.len());
+        for (a, b) in one.cells.iter().zip(&two.cells) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+    }
+
+    #[test]
     fn rule_1_shapes_hold_at_small_scale() {
         let data = tiny_sweep();
         // Strong system: aggregate falls, individual incoming rises

@@ -25,6 +25,8 @@ pub mod outdegree_hist;
 pub mod redesign;
 pub mod rules;
 
+use sp_model::trials::fan_out;
+
 /// Evaluation fidelity: how many trials, how much source sampling.
 ///
 /// The paper-scale runs (`standard`) average several instances of
@@ -41,8 +43,8 @@ pub struct Fidelity {
     /// Total worker-thread budget for the whole experiment (`0` = one
     /// per available core). [`run_cells`] splits it between sweep
     /// cells, trials, and analysis source shards so the three levels
-    /// of parallelism never oversubscribe the machine. Has no effect
-    /// on the reported numbers.
+    /// of parallelism never oversubscribe the machine. The reported
+    /// numbers are bitwise identical at any value.
     pub threads: usize,
 }
 
@@ -67,12 +69,6 @@ impl Fidelity {
             threads: 0,
         }
     }
-
-    /// Returns the fidelity with a different thread budget.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 impl Default for Fidelity {
@@ -82,7 +78,7 @@ impl Default for Fidelity {
 }
 
 /// Fans `n_cells` independent evaluations over a bounded worker pool
-/// and returns their results **in cell order**.
+/// ([`fan_out`]) and returns their results **in cell order**.
 ///
 /// `budget` is the total worker-thread budget (`0` = one per available
 /// core). Up to `min(budget, n_cells)` cells run concurrently, and
@@ -92,53 +88,22 @@ impl Default for Fidelity {
 /// `outer × inner` never exceeds the budget. The output order — and,
 /// because every cell is evaluated independently from its own seed,
 /// every reported number — is independent of the thread count.
+///
+/// # Panics
+///
+/// Panics with `sweep cell {i} panicked: …` if a cell panics.
 pub fn run_cells<O, F>(n_cells: usize, budget: usize, run: F) -> Vec<O>
 where
     O: Send,
     F: Fn(usize, usize) -> O + Sync,
 {
-    let budget = if budget == 0 {
-        std::thread::available_parallelism().map_or(1, |v| v.get())
-    } else {
-        budget
-    }
-    .max(1);
-    let outer = budget.min(n_cells).max(1);
-    let inner = (budget / outer).max(1);
-    if outer == 1 {
-        return (0..n_cells).map(|c| run(c, inner)).collect();
-    }
-
-    #[allow(
-        clippy::disallowed_types,
-        reason = "F2 sanctioned: a work-claim counter; cells land in their own slots"
-    )]
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<O>> = (0..n_cells).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..outer)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if c >= n_cells {
-                            break;
-                        }
-                        done.push((c, run(c, inner)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (c, o) in h.join().expect("sweep cell worker panicked") {
-                slots[c] = Some(o);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every cell evaluated exactly once"))
-        .collect()
+    let mut cells = Vec::with_capacity(n_cells);
+    fan_out(
+        n_cells,
+        budget,
+        |c| format!("sweep cell {c}"),
+        || &run,
+        |cell| cells.push(cell),
+    );
+    cells
 }

@@ -73,19 +73,6 @@ pub fn reach(g: &Graph, src: NodeId, ttl: u16) -> usize {
     flood(g, src, ttl).reach()
 }
 
-/// Mean reach over `samples` random sources.
-pub fn mean_reach(g: &Graph, ttl: u16, samples: usize, rng: &mut SpRng) -> f64 {
-    if g.num_nodes() == 0 || samples == 0 {
-        return 0.0;
-    }
-    let mut stats = OnlineStats::new();
-    for _ in 0..samples {
-        let src = rng.index(g.num_nodes()) as NodeId;
-        stats.push(reach(g, src, ttl) as f64);
-    }
-    stats.mean()
-}
-
 /// Expected path length to the `desired_reach` *nearest* nodes from
 /// `src`: floods without a TTL cap, takes the first `desired_reach`
 /// nodes in BFS order (excluding the source), and returns their mean

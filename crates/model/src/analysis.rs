@@ -65,8 +65,6 @@
 //! copy of metadata and updates (this is the "aggregate cost of a
 //! client join is k times greater" of Section 3.2).
 
-use std::sync::atomic::Ordering;
-
 use sp_graph::FloodScratch;
 use sp_stats::{GroupedStats, OnlineStats, SpRng};
 
@@ -74,6 +72,7 @@ use crate::costs::{BITS_PER_BYTE, UNIT_CYCLES};
 use crate::instance::{NetworkInstance, Role};
 use crate::load::Load;
 use crate::query_model::{MatchCache, QueryModel};
+use crate::trials::{fan_out, shard_spans};
 
 /// Default number of source shards for [`Engine::Fast`]. Fixed (not
 /// derived from the thread count) so that results are bitwise
@@ -403,8 +402,9 @@ fn charge_shard(
     }
 }
 
-/// Fast engine: shard the source list, fan shards over scoped worker
-/// threads, merge per-shard accumulators in shard order.
+/// Fast engine: shard the source list, fan the shards out over worker
+/// threads ([`fan_out`], one [`WorkerScratch`] per worker), merge the
+/// per-shard accumulators in shard order.
 fn charge_queries_fast(
     inst: &NetworkInstance,
     t: &ClusterTables,
@@ -417,81 +417,24 @@ fn charge_queries_fast(
         opts.shards
     } else {
         DEFAULT_SHARDS
-    }
-    .min(sources.len().max(1));
-    let threads = if opts.threads > 0 {
-        opts.threads
-    } else {
-        std::thread::available_parallelism().map_or(1, |v| v.get())
-    }
-    .min(shards)
-    .max(1);
-
-    // Contiguous shard ranges covering the source list.
-    let per = sources.len() / shards;
-    let extra = sources.len() % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for s in 0..shards {
-        let len = per + usize::from(s < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-
+    };
+    let spans = &shard_spans(sources.len(), shards);
     let mut total = QueryCharges::new(n);
-    if threads == 1 {
-        // Same shard-by-shard accumulation as the parallel path, so
-        // the numbers are bitwise identical at every thread count.
-        let mut ws = WorkerScratch::new(n);
-        for r in ranges {
-            let mut acc = QueryCharges::new(n);
-            charge_shard(inst, t, &sources[r], src_weight, &mut ws, &mut acc);
-            total.merge(&acc);
-        }
-        return total;
-    }
-
-    let mut slots: Vec<Option<QueryCharges>> = (0..shards).map(|_| None).collect();
-    #[allow(
-        clippy::disallowed_types,
-        reason = "F2 sanctioned: a work-claim counter; shards still merge in shard order"
-    )]
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = WorkerScratch::new(n);
-                    let mut done: Vec<(usize, QueryCharges)> = Vec::new();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        let mut acc = QueryCharges::new(n);
-                        charge_shard(
-                            inst,
-                            t,
-                            &sources[ranges[s].clone()],
-                            src_weight,
-                            &mut ws,
-                            &mut acc,
-                        );
-                        done.push((s, acc));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (s, acc) in h.join().expect("analysis worker panicked") {
-                slots[s] = Some(acc);
+    fan_out(
+        spans.len(),
+        opts.threads,
+        |s| format!("analysis shard {s}"),
+        || {
+            let mut ws = WorkerScratch::new(n);
+            move |s: usize, _| {
+                let (start, end) = spans[s];
+                let mut acc = QueryCharges::new(n);
+                charge_shard(inst, t, &sources[start..end], src_weight, &mut ws, &mut acc);
+                acc
             }
-        }
-    });
-    for acc in slots {
-        total.merge(&acc.expect("every shard charged exactly once"));
-    }
+        },
+        |acc| total.merge(&acc),
+    );
     total
 }
 

@@ -75,6 +75,4 @@ pub use query_model::QueryModel;
 pub use repair::RepairPolicy;
 pub use scenario::{CapacityClass, PhaseKind, PhaseSpec, ScenarioError, ScenarioPlan};
 pub use snapshot::{SnapReader, SnapWriter, SnapshotError};
-pub use trials::{
-    resolve_thread_budget, run_trials, split_thread_budget, TrialOptions, TrialSummary,
-};
+pub use trials::{resolve_thread_budget, run_trials, TrialOptions, TrialSummary};

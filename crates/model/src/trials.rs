@@ -3,8 +3,9 @@
 //! "We run analysis over several instances of a configuration and
 //! average E[M|I] over these trials … We also calculate 95% confidence
 //! intervals." Trials are embarrassingly parallel, so they are fanned
-//! out over scoped threads; every trial derives its own RNG split, so
-//! results are identical regardless of thread count.
+//! out over worker threads by [`fan_out`]. Every trial derives its own
+//! RNG split and yields one reduction, and the reductions are folded in
+//! trial order, so a summary is bitwise identical at any thread count.
 //!
 //! A trial run owns a **thread budget** ([`TrialOptions::threads`]):
 //! trials claim up to `budget` outer workers, and whatever multiple of
@@ -12,6 +13,14 @@
 //! source-level parallelism ([`AnalysisOptions::threads`]). A 5-trial
 //! run on 16 cores therefore runs 5 trial workers × 3 source workers
 //! instead of leaving 11 cores idle, and never oversubscribes.
+//!
+//! [`fan_out`] is the workspace's one pool of independent jobs: it also
+//! runs simulation trials (`sp_sim::scenario::run_sim_trials`), sweep
+//! cells (`sp_core::experiments::run_cells`) and the analysis source
+//! shards, each at its level of the same budget cascade.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 
 use sp_stats::{ConfidenceInterval, GroupedStats, OnlineStats, SpRng};
 
@@ -190,9 +199,9 @@ impl Reduction {
 /// one worker per available core, anything else is taken as-is
 /// (clamped to at least 1).
 ///
-/// Shared by every trial runner in the workspace (`run_trials` here,
-/// `sp_sim::scenario::run_sim_trials`) so "how many threads does
-/// `--threads 0` mean" has exactly one answer.
+/// Shared by [`fan_out`] and the sharded scale engine's worker count,
+/// so "how many threads does `--threads 0` mean" has exactly one
+/// answer.
 pub fn resolve_thread_budget(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
@@ -208,8 +217,9 @@ pub fn resolve_thread_budget(threads: usize) -> usize {
 /// spans, returning `(start, end)` half-open ranges in shard order.
 ///
 /// Earlier shards get the remainder, so span lengths differ by at most
-/// one and every index is covered exactly once. Used by the sharded
-/// scale simulator to assign contiguous cluster ranges to shards (the
+/// one and every index is covered exactly once. Used by the analysis
+/// to cut its source list into shards, and by the sharded scale
+/// simulator to assign contiguous cluster ranges to shards (the
 /// "peer-id prefix" partitioning: cluster ids are peer-id prefixes).
 /// `shards` is clamped to `[1, items.max(1)]` so no span is empty.
 pub fn shard_spans(items: usize, shards: usize) -> Vec<(usize, usize)> {
@@ -232,7 +242,7 @@ pub fn shard_spans(items: usize, shards: usize) -> Vec<(usize, usize)> {
 /// Outer workers are claimed first (independent jobs scale best); the
 /// leftover multiple of the budget goes to each job's inner loop.
 /// `outer × inner` never exceeds the budget, and both are at least 1.
-pub fn split_thread_budget(budget: usize, jobs: usize) -> (usize, usize) {
+fn split_thread_budget(budget: usize, jobs: usize) -> (usize, usize) {
     let budget = budget.max(1);
     let outer = budget.min(jobs.max(1));
     let inner = (budget / outer).max(1);
@@ -261,6 +271,79 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
+/// Runs `jobs` independent jobs on a thread budget and hands their
+/// results to `take` **in index order**, at any thread count.
+///
+/// The budget (`0` = one worker per available core) is resolved by
+/// [`resolve_thread_budget`] and split into up to `jobs` outer workers
+/// and an inner budget, so `outer × inner` never exceeds it. Each
+/// worker builds its job function once with `worker()` (the place for
+/// per-worker scratch), then claims the next unclaimed index `i` and
+/// runs `job(i, inner)`. With one worker each result reaches `take`
+/// before the next job starts; with more, results are held until every
+/// job has finished.
+///
+/// # Panics
+///
+/// If a job panics, panics on the caller with
+/// `"{label(i)} panicked: {message}"`, at every thread count.
+pub fn fan_out<T, J>(
+    jobs: usize,
+    threads: usize,
+    label: impl Fn(usize) -> String + Sync,
+    worker: impl Fn() -> J + Sync,
+    mut take: impl FnMut(T),
+) where
+    T: Send,
+    J: FnMut(usize, usize) -> T,
+{
+    let (outer, inner) = split_thread_budget(resolve_thread_budget(threads), jobs);
+    let run = |job: &mut J, i: usize| match catch_unwind(AssertUnwindSafe(|| job(i, inner))) {
+        Ok(value) => value,
+        Err(payload) => panic!("{} panicked: {}", label(i), panic_message(payload.as_ref())),
+    };
+    if outer == 1 {
+        let mut job = worker();
+        for i in 0..jobs {
+            take(run(&mut job, i));
+        }
+        return;
+    }
+
+    #[allow(
+        clippy::disallowed_types,
+        reason = "F2 sanctioned: the one work-claim counter; results still return in index order"
+    )]
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..outer)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut job = worker();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            return done;
+                        }
+                        done.push((i, run(&mut job, i)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            // A job panic arrives already labelled: pass it on.
+            for (i, value) in h.join().unwrap_or_else(|payload| resume_unwind(payload)) {
+                slots[i] = Some(value);
+            }
+        }
+    });
+    for slot in slots {
+        take(slot.expect("every job ran exactly once"));
+    }
+}
+
 /// Runs `opts.trials` independent instances of `config` and summarizes.
 ///
 /// # Panics
@@ -276,13 +359,7 @@ pub fn run_trials(config: &Config, opts: &TrialOptions) -> TrialSummary {
         reason = "R1b seed root: every trial stream splits from opts.seed"
     )]
     let root = SpRng::seed_from_u64(opts.seed);
-    let budget = resolve_thread_budget(opts.threads);
-    // Trials claim outer workers first (they are perfectly independent);
-    // the remaining budget multiple parallelizes each trial's source
-    // loop. outer × inner never exceeds the budget.
-    let (outer, inner) = split_thread_budget(budget, opts.trials);
-
-    let run_trial = |t: usize| -> Reduction {
+    let run_trial = |t: usize, inner: usize| -> Reduction {
         let mut rng = root.split(t as u64);
         let inst = NetworkInstance::generate(config, &mut rng).expect("validated config");
         let result = analyze(
@@ -304,59 +381,16 @@ pub fn run_trials(config: &Config, opts: &TrialOptions) -> TrialSummary {
         red
     };
 
-    if outer == 1 {
-        let mut total = Reduction::default();
-        for t in 0..opts.trials {
-            total.merge(&run_trial(t));
-        }
-        return total.finish();
-    }
-
-    let reductions = std::thread::scope(|scope| {
-        let run_trial = &run_trial;
-        let handles: Vec<_> = (0..outer)
-            .map(|w| {
-                scope.spawn(move || -> Result<Reduction, String> {
-                    let mut local = Reduction::default();
-                    let mut t = w;
-                    while t < opts.trials {
-                        // Catch per-trial panics so the propagated
-                        // message names the failing trial and seed
-                        // instead of a bare worker-join failure.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_trial(t)
-                        })) {
-                            Ok(red) => local.merge(&red),
-                            Err(payload) => {
-                                return Err(format!(
-                                    "trial {t} (root seed {:#x}) panicked: {}",
-                                    opts.seed,
-                                    panic_message(payload.as_ref())
-                                ))
-                            }
-                        }
-                        t += outer;
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(red)) => red,
-                Ok(Err(msg)) => panic!("{msg}"),
-                Err(payload) => {
-                    panic!("trial worker panicked: {}", panic_message(payload.as_ref()))
-                }
-            })
-            .collect::<Vec<_>>()
-    });
-
+    // One reduction per trial, folded in trial order: the summary is
+    // bitwise identical at any thread count.
     let mut total = Reduction::default();
-    for r in &reductions {
-        total.merge(r);
-    }
+    fan_out(
+        opts.trials,
+        opts.threads,
+        |t| format!("trial {t} (root seed {:#x})", opts.seed),
+        || &run_trial,
+        |red| total.merge(&red),
+    );
     total.finish()
 }
 
@@ -394,22 +428,70 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed_and_independent_of_threads() {
-        let opts1 = TrialOptions {
-            trials: 4,
+        // More trials than threads, so workers take several trials each.
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // text means equal bits in every field.
+        let opts = TrialOptions {
+            trials: 5,
             seed: 99,
             threads: 1,
             ..Default::default()
         };
-        let opts4 = TrialOptions {
-            threads: 4,
-            ..opts1
+        let one = format!("{:?}", run_trials(&tiny(), &opts));
+        for threads in 2..=4 {
+            let many = format!(
+                "{:?}",
+                run_trials(&tiny(), &TrialOptions { threads, ..opts })
+            );
+            assert_eq!(one, many, "{threads} threads changed the summary");
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        // Job 0 waits for job 4, and job 4 for job 5. On two workers one
+        // runs jobs 1 to 4 while the other runs jobs 0 and 5, so low
+        // indices finish last and the workers' shares interleave.
+        #[allow(
+            clippy::disallowed_types,
+            reason = "F2 exempt in a test: the barriers force the completion order"
+        )]
+        let (x, y) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let job = |i: usize, _: usize| {
+            if i == 0 || i == 4 {
+                x.wait();
+            }
+            if i == 4 || i == 5 {
+                y.wait();
+            }
+            i * 10
         };
-        let a = run_trials(&tiny(), &opts1);
-        let b = run_trials(&tiny(), &opts4);
-        // Means are identical up to merge-order float reassociation.
-        let rel = (a.agg_total_bw.mean - b.agg_total_bw.mean).abs() / a.agg_total_bw.mean;
-        assert!(rel < 1e-12, "thread count changed results: {rel}");
-        assert!((a.results.mean - b.results.mean).abs() < 1e-9);
+        for threads in [2, 3] {
+            let mut got = Vec::new();
+            fan_out(6, threads, |i| format!("job {i}"), || &job, |v| got.push(v));
+            assert_eq!(got, [0, 10, 20, 30, 40, 50], "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn fan_out_names_the_panicking_job_at_any_thread_count() {
+        for threads in [1, 3] {
+            let payload = std::panic::catch_unwind(|| {
+                let job = |i: usize, _: usize| {
+                    if i == 2 {
+                        panic!("boom");
+                    }
+                    i
+                };
+                fan_out(5, threads, |i| format!("job {i}"), || job, |_| {});
+            })
+            .unwrap_err();
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "job 2 panicked: boom",
+                "{threads} workers"
+            );
+        }
     }
 
     #[test]

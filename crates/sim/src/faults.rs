@@ -69,15 +69,6 @@ impl Submission {
         failover_flakes: 0,
         wait_secs: 0.0,
     };
-
-    /// Whether the failover partner was ever contacted (it is charged
-    /// for the attempts that reached it).
-    pub fn used_failover(&self) -> bool {
-        matches!(self.outcome, QueryOutcome::Failover | QueryOutcome::Lost)
-            && (self.failover_drops > 0
-                || self.failover_flakes > 0
-                || self.outcome == QueryOutcome::Failover)
-    }
 }
 
 /// What an engine must do in response to a popped fault event.

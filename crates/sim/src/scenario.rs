@@ -23,7 +23,7 @@ use sp_model::config::Config;
 use sp_model::faults::{FaultPlan, FaultSpec};
 use sp_model::load::Load;
 use sp_model::repair::RepairPolicy;
-use sp_model::trials::{resolve_thread_budget, split_thread_budget};
+use sp_model::trials::fan_out;
 use sp_stats::{ConfidenceInterval, OnlineStats, SpRng};
 
 use crate::engine::{
@@ -364,25 +364,24 @@ impl Default for SimTrialOptions {
     }
 }
 
-/// Fans `opts.trials` independent trials out over scoped threads and
+/// Fans `opts.trials` independent trials out over worker threads and
 /// returns their results **ordered by trial index**.
 ///
 /// `run_one(seed, trial)` runs one trial: `seed` is drawn from the RNG
 /// split `opts.seed → trial`, so every trial has its own stream no
-/// matter which worker executes it. Workers stride over trial indices
-/// and tag each result with its index; results are placed back into
-/// index order before returning. Together these make the output bitwise
-/// identical at any thread count — the same contract as
-/// `sp_model::run_trials` and `Engine::Fast`.
+/// matter which worker executes it. [`fan_out`] hands the results back
+/// in trial order, so the output is bitwise identical at any thread
+/// count — the same contract as `sp_model::run_trials` and
+/// `Engine::Fast`.
 ///
-/// The thread budget goes through [`split_thread_budget`] for
-/// consistency with the analysis cascade, but a simulation run is
-/// single-threaded, so only the outer (trial-level) share is used; the
-/// inner share is intentionally left idle rather than oversubscribing.
+/// A simulation run is single-threaded, so only the trial-level share
+/// of the thread budget is used; the inner share is intentionally left
+/// idle rather than oversubscribing.
 ///
 /// # Panics
 ///
-/// Panics if `opts.trials == 0` or a trial panics.
+/// Panics if `opts.trials == 0`, or if a trial panics; the message then
+/// names the trial, its seed, the scenario kind and the repair policy.
 pub fn run_sim_trials<T, F>(opts: &SimTrialOptions, run_one: F) -> Vec<T>
 where
     T: Send,
@@ -395,76 +394,24 @@ where
     )]
     let root = SpRng::seed_from_u64(opts.seed);
     let trial_seed = |t: usize| root.split(t as u64).next_raw();
+    let run_trial = |t: usize, _inner: usize| run_one(trial_seed(t), t);
+    let (kind, repair) = (opts.kind, opts.repair);
 
-    let budget = resolve_thread_budget(opts.threads);
-    let (outer, _inner) = split_thread_budget(budget, opts.trials);
-
-    if outer == 1 {
-        return (0..opts.trials)
-            .map(|t| run_one(trial_seed(t), t))
-            .collect();
-    }
-
-    let tagged = std::thread::scope(|scope| {
-        let run_one = &run_one;
-        let trial_seed = &trial_seed;
-        let handles: Vec<_> = (0..outer)
-            .map(|w| {
-                scope.spawn(move || {
-                    // Wrap each trial so a panic carries *which* trial
-                    // (index and seed) died, not just a bare payload.
-                    let mut local = Vec::new();
-                    let mut t = w;
-                    while t < opts.trials {
-                        let seed = trial_seed(t);
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_one(seed, t)
-                        })) {
-                            Ok(v) => local.push((t, v)),
-                            Err(payload) => {
-                                return Err(format!(
-                                    "trial {t} (scenario {}, seed {seed:#x}, repair {}) \
-                                     panicked: {}",
-                                    opts.kind,
-                                    opts.repair,
-                                    panic_message(payload.as_ref())
-                                ))
-                            }
-                        }
-                        t += outer;
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        let mut tagged = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(local)) => tagged.extend(local),
-                Ok(Err(msg)) => panic!("{msg}"),
-                Err(payload) => {
-                    panic!("trial worker panicked: {}", panic_message(payload.as_ref()))
-                }
-            }
-        }
-        tagged
-    });
-
-    let mut slots: Vec<Option<T>> = (0..opts.trials).map(|_| None).collect();
-    for (t, value) in tagged {
-        slots[t] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every trial index produced"))
-        .collect()
+    let mut results = Vec::with_capacity(opts.trials);
+    fan_out(
+        opts.trials,
+        opts.threads,
+        |t| {
+            format!(
+                "trial {t} (scenario {kind}, seed {:#x}, repair {repair})",
+                trial_seed(t)
+            )
+        },
+        || &run_trial,
+        |value| results.push(value),
+    );
+    results
 }
-
-// Panic payloads are rendered by the shared `sp_model::trials`
-// implementation, which also unwraps the boxed payloads that nested
-// `catch_unwind` layers produce (a local copy here used to miss them
-// and render "opaque panic payload").
-pub(crate) use sp_model::trials::panic_message;
 
 fn ci_of<I: IntoIterator<Item = f64>>(values: I) -> ConfidenceInterval {
     let mut stats = OnlineStats::default();
@@ -719,44 +666,45 @@ mod tests {
         assert!(c.k1.injected_crash > 0 && c.k2.injected_crash > 0);
     }
 
+    /// Runs three trials on `threads` workers; trial 1 panics.
+    fn trial_1_panics(threads: usize, repair: RepairPolicy, kind: &'static str) {
+        let opts = SimTrialOptions {
+            trials: 3,
+            seed: 42,
+            threads,
+            repair,
+            kind,
+        };
+        run_sim_trials(&opts, |_, t| {
+            if t == 1 {
+                panic!("boom");
+            }
+            t
+        });
+    }
+
     #[test]
     #[should_panic(expected = "trial 1 (scenario steady-state, seed ")]
     fn sim_trial_panics_carry_trial_seed_and_kind() {
-        run_sim_trials(
-            &SimTrialOptions {
-                trials: 3,
-                seed: 42,
-                threads: 2,
-                repair: RepairPolicy::Off,
-                kind: "steady-state",
-            },
-            |_, t| {
-                if t == 1 {
-                    panic!("boom");
-                }
-                t
-            },
-        );
+        trial_1_panics(2, RepairPolicy::Off, "steady-state");
+    }
+
+    #[test]
+    #[should_panic(expected = "trial 1 (scenario steady-state, seed ")]
+    fn sim_trial_panics_carry_trial_seed_and_kind_on_one_thread() {
+        trial_1_panics(1, RepairPolicy::Off, "steady-state");
     }
 
     #[test]
     #[should_panic(expected = ", repair promote+partner) panicked: boom")]
     fn sim_trial_panics_carry_repair_policy() {
-        run_sim_trials(
-            &SimTrialOptions {
-                trials: 3,
-                seed: 42,
-                threads: 2,
-                repair: RepairPolicy::PromotePartner,
-                ..Default::default()
-            },
-            |_, t| {
-                if t == 1 {
-                    panic!("boom");
-                }
-                t
-            },
-        );
+        trial_1_panics(2, RepairPolicy::PromotePartner, "sim");
+    }
+
+    #[test]
+    #[should_panic(expected = ", repair promote+partner) panicked: boom")]
+    fn sim_trial_panics_carry_repair_policy_on_one_thread() {
+        trial_1_panics(1, RepairPolicy::PromotePartner, "sim");
     }
 
     #[test]

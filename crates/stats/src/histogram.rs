@@ -1,103 +1,13 @@
-//! Histograms and per-key grouped statistics.
+//! Per-key grouped statistics.
 //!
 //! Figures 7 and 8 of the paper are *histograms over outdegree*: for
 //! each number of neighbors, they plot the mean load / mean number of
 //! results of all super-peers with that outdegree, with one-standard-
 //! deviation bars. [`GroupedStats`] accumulates exactly that.
-//! [`Histogram`] is a plain fixed-width-bin frequency histogram used to
-//! check generated degree sequences against the power law.
 
 use std::collections::BTreeMap;
 
 use crate::summary::OnlineStats;
-
-/// Fixed-width-bin frequency histogram over `[low, high)`.
-///
-/// Out-of-range observations are clamped into the first/last bin and
-/// counted separately so tests can assert none occurred.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins on `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `low >= high`.
-    pub fn new(low: f64, high: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(low < high, "need low < high");
-        Histogram {
-            low,
-            high,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.low {
-            self.underflow += 1;
-            self.bins[0] += 1;
-            return;
-        }
-        if x >= self.high {
-            self.overflow += 1;
-            let last = self.bins.len() - 1;
-            self.bins[last] += 1;
-            return;
-        }
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        let idx = (((x - self.low) / width) as usize).min(self.bins.len() - 1);
-        self.bins[idx] += 1;
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
-    /// Observations that fell below `low` (clamped into bin 0).
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `high` (clamped into the last bin).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// `(bin_center, count)` pairs, in order.
-    pub fn centers(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.low + (i as f64 + 0.5) * width, c))
-    }
-}
 
 /// Streaming statistics grouped by an integer key (e.g. outdegree).
 ///
@@ -179,45 +89,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_bins_observations() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        for i in 0..10 {
-            assert_eq!(h.count(i), 1, "bin {i}");
-        }
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-    }
-
-    #[test]
-    fn histogram_clamps_and_counts_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.push(-5.0);
-        h.push(2.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(1), 1);
-    }
-
-    #[test]
-    fn histogram_boundary_goes_to_upper_bin() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(3.0); // exactly on the 3rd bin's lower edge
-        assert_eq!(h.count(3), 1);
-    }
-
-    #[test]
-    fn histogram_centers() {
-        let h = Histogram::new(0.0, 4.0, 4);
-        let centers: Vec<f64> = h.centers().map(|(c, _)| c).collect();
-        assert_eq!(centers, vec![0.5, 1.5, 2.5, 3.5]);
-    }
-
-    #[test]
     fn grouped_stats_by_key() {
         let mut g = GroupedStats::new();
         g.push(2, 1.0);
@@ -254,11 +125,5 @@ mod tests {
         }
         let keys: Vec<u64> = g.keys().collect();
         assert_eq!(keys, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "need low < high")]
-    fn bad_histogram_range_panics() {
-        Histogram::new(1.0, 1.0, 4);
     }
 }

@@ -21,9 +21,9 @@
 //!   sampling via the alias method.
 //! * [`summary`] — streaming Welford moments and Student-t 95%
 //!   confidence intervals (Step 4 of the paper's analysis pipeline).
-//! * [`histogram`] — fixed-width histograms and per-key grouped
-//!   statistics (Figures 7 and 8 plot mean ± one standard deviation
-//!   of load/results *grouped by outdegree*).
+//! * [`histogram`] — per-key grouped statistics (Figures 7 and 8 plot
+//!   mean ± one standard deviation of load/results *grouped by
+//!   outdegree*).
 //! * [`percentile`] — quantiles and load-rank curves (Figure 12 plots
 //!   every node's load ranked in decreasing order).
 //!
@@ -45,7 +45,7 @@ pub mod summary;
 pub use dist::{
     BoundedPareto, Empirical, LogNormal, Normal, Poisson, TruncatedDiscreteNormal, Zipf,
 };
-pub use histogram::{GroupedStats, Histogram};
+pub use histogram::GroupedStats;
 pub use percentile::{quantile, rank_curve};
 pub use rng::SpRng;
 pub use summary::{ConfidenceInterval, OnlineStats};
