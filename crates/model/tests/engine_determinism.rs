@@ -9,7 +9,10 @@
 //!   charging) matches the Reference engine (fresh allocations, O(n)
 //!   scan) — bitwise with a single shard;
 //!
-//! across topology family, redundancy, and source sampling.
+//! across topology family, redundancy, TTL-truncated reach, and source
+//! sampling. Both engines read one per-cluster table and write one
+//! accumulator layout, so engine agreement cannot see a mistake in
+//! either; `analysis_outputs_are_pinned` pins the outputs themselves.
 
 #![allow(
     clippy::disallowed_methods,
@@ -20,10 +23,13 @@ use sp_model::analysis::{analyze, AnalysisOptions, AnalysisResult, Engine};
 use sp_model::config::{Config, GraphType};
 use sp_model::instance::NetworkInstance;
 use sp_model::query_model::QueryModel;
+use sp_model::snapshot::fnv1a;
 use sp_stats::SpRng;
 
 /// The experiment grid: strong and power-law overlays, with and
-/// without 2-redundancy.
+/// without 2-redundancy, plus a power-law overlay whose TTL leaves most
+/// clusters unreached (about 51 of 200 per source at seed 13), the
+/// regime of large overlays.
 fn configs() -> Vec<(&'static str, Config)> {
     let strong = Config {
         graph_type: GraphType::StronglyConnected,
@@ -44,7 +50,15 @@ fn configs() -> Vec<(&'static str, Config)> {
         ("strong", strong.clone()),
         ("strong+red", strong.with_redundancy(true)),
         ("power", power.clone()),
-        ("power+red", power.with_redundancy(true)),
+        ("power+red", power.clone().with_redundancy(true)),
+        (
+            "power-partial",
+            Config {
+                graph_size: 2_000,
+                ttl: 3,
+                ..power
+            },
+        ),
     ]
 }
 
@@ -101,6 +115,12 @@ fn assert_close(a: &AnalysisResult, b: &AnalysisResult, tol: f64, what: &str) {
             );
         }
     }
+}
+
+/// FNV-1a hash of the `Debug` text of a result. `f64` debug text is the
+/// shortest round-trip form, so equal text means equal bits.
+fn output_hash(r: &AnalysisResult) -> u64 {
+    fnv1a(format!("{r:?}").as_bytes())
 }
 
 /// Asserts bitwise equality of metrics and per-peer loads.
@@ -263,4 +283,31 @@ fn histogram_outputs_match_across_engines() {
         assert_eq!(a.count(), b.count(), "key {k} count");
         assert!(rel(a.mean(), b.mean()) <= 1e-12, "key {k} mean");
     }
+}
+
+/// `output_hash` of a default-options analysis of every `configs()`
+/// entry at seed 13. Updating a pin is a deliberate behaviour change.
+const PINNED: [(&str, u64); 5] = [
+    ("strong", 0x3434_5f54_5044_df56),
+    ("strong+red", 0xbb6c_3f7e_3e20_e098),
+    ("power", 0x7108_8138_5cab_8df9),
+    ("power+red", 0xdf51_66a7_9bfc_068e),
+    ("power-partial", 0xff3f_1d34_b103_df57),
+];
+
+#[test]
+fn analysis_outputs_are_pinned() {
+    let got: Vec<(&str, u64)> = configs()
+        .iter()
+        .map(|(label, cfg)| {
+            (
+                *label,
+                output_hash(&run(cfg, &AnalysisOptions::default(), 13)),
+            )
+        })
+        .collect();
+    let hex = |v: &[(&str, u64)]| -> Vec<String> {
+        v.iter().map(|(l, h)| format!("{l}: {h:#018x}")).collect()
+    };
+    assert_eq!(hex(&got), hex(&PINNED), "analysis outputs moved");
 }
