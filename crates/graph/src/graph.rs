@@ -66,15 +66,6 @@ impl GraphBuilder {
         true
     }
 
-    /// Whether the (canonicalized) edge was already added.
-    ///
-    /// Linear scan; intended for tests and small graphs. Generators
-    /// that need fast membership keep their own hash set.
-    pub fn contains_edge(&self, a: NodeId, b: NodeId) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.edges.contains(&key)
-    }
-
     /// Freezes into an immutable CSR graph.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
@@ -312,14 +303,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         GraphBuilder::new(2).add_edge(0, 2);
-    }
-
-    #[test]
-    fn contains_edge_checks_canonical() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(2, 1);
-        assert!(b.contains_edge(1, 2));
-        assert!(b.contains_edge(2, 1));
-        assert!(!b.contains_edge(0, 1));
     }
 }

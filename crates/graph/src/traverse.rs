@@ -58,22 +58,6 @@ impl FloodResult {
         self.depth[v as usize] < self.ttl
     }
 
-    /// Mean depth of reached nodes other than the source.
-    ///
-    /// When every reached super-peer returns one response, this is the
-    /// expected path length (EPL) of responses. Returns 0.0 when the
-    /// source reached nobody.
-    pub fn mean_depth(&self) -> f64 {
-        if self.order.len() <= 1 {
-            return 0.0;
-        }
-        let sum: u64 = self.order[1..]
-            .iter()
-            .map(|&v| self.depth[v as usize] as u64)
-            .sum();
-        sum as f64 / (self.order.len() - 1) as f64
-    }
-
     /// Accumulates per-node values up the predecessor tree, deepest
     /// first: after the call, `values[v]` holds the sum of the initial
     /// values over `v`'s whole BFS subtree (including `v` itself).
@@ -162,25 +146,6 @@ pub struct MessageCounts {
     pub recv: Vec<u32>,
 }
 
-impl MessageCounts {
-    /// Total transmissions (= total receptions).
-    pub fn total(&self) -> u64 {
-        self.sent.iter().map(|&s| s as u64).sum()
-    }
-
-    /// Redundant receptions at `v`: copies beyond the first. The source
-    /// never "receives" a first copy, so all its receptions are
-    /// redundant.
-    pub fn redundant_recv(&self, v: NodeId, flood: &FloodResult) -> u32 {
-        let r = self.recv[v as usize];
-        if v == flood.source || !flood.is_reached(v) {
-            r
-        } else {
-            r.saturating_sub(1)
-        }
-    }
-}
-
 /// Reusable, allocation-free flood state: one BFS + message-count pass
 /// writes into epoch-stamped arrays instead of fresh vectors, so a
 /// sweep that floods from every source cluster allocates **nothing**
@@ -221,8 +186,6 @@ pub struct FloodScratch {
     sent: Vec<u32>,
     recv: Vec<u32>,
     order: Vec<NodeId>,
-    source: NodeId,
-    ttl: u16,
 }
 
 impl FloodScratch {
@@ -233,7 +196,7 @@ impl FloodScratch {
 
     /// Starts a new flood epoch over `n` nodes, resizing buffers if the
     /// graph grew and invalidating all per-node slots in O(1).
-    fn begin(&mut self, n: usize, source: NodeId, ttl: u16) {
+    fn begin(&mut self, n: usize, source: NodeId) {
         assert!((source as usize) < n, "source {source} out of range");
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -256,8 +219,6 @@ impl FloodScratch {
             }
         };
         self.order.clear();
-        self.source = source;
-        self.ttl = ttl;
     }
 
     /// First touch of `v` this epoch: zero its slots.
@@ -284,7 +245,7 @@ impl FloodScratch {
     ///
     /// Panics if `source` is out of range.
     pub fn flood(&mut self, g: &Graph, source: NodeId, ttl: u16) {
-        self.begin(g.num_nodes(), source, ttl);
+        self.begin(g.num_nodes(), source);
         self.touch(source);
         self.depth[source as usize] = 0;
         self.order.push(source);
@@ -334,7 +295,7 @@ impl FloodScratch {
     ///
     /// Panics if `source` is out of range.
     pub fn flood_complete(&mut self, n: usize, source: NodeId, ttl: u16) {
-        self.begin(n, source, ttl);
+        self.begin(n, source);
         self.touch(source);
         self.depth[source as usize] = 0;
         self.order.push(source);
@@ -353,16 +314,6 @@ impl FloodScratch {
                 self.order.push(v);
             }
         }
-    }
-
-    /// The query source of the current epoch.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// The TTL of the current epoch.
-    pub fn ttl(&self) -> u16 {
-        self.ttl
     }
 
     /// BFS visit order: exactly the reached nodes, in nondecreasing
@@ -400,35 +351,6 @@ impl FloodScratch {
     #[inline]
     pub fn recv(&self, v: NodeId) -> u32 {
         self.recv[v as usize]
-    }
-
-    /// Mean depth of reached nodes other than the source (0.0 if the
-    /// source reached nobody) — see [`FloodResult::mean_depth`].
-    pub fn mean_depth(&self) -> f64 {
-        if self.order.len() <= 1 {
-            return 0.0;
-        }
-        let sum: u64 = self.order[1..]
-            .iter()
-            .map(|&v| self.depth[v as usize] as u64)
-            .sum();
-        sum as f64 / (self.order.len() - 1) as f64
-    }
-
-    /// Accumulates per-node values up the predecessor tree, deepest
-    /// first — see [`FloodResult::accumulate_up`]. Only indices in
-    /// [`Self::order`] are read or written, so `values` may carry stale
-    /// entries for unreached nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is shorter than the flooded graph.
-    pub fn accumulate_up(&self, values: &mut [f64]) {
-        for &v in self.order.iter().rev() {
-            if v != self.source {
-                values[self.parent[v as usize] as usize] += values[v as usize];
-            }
-        }
     }
 }
 
@@ -514,21 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_depth_on_path() {
-        let g = path4();
-        let f = flood(&g, 0, 3);
-        // depths 1, 2, 3 → mean 2.
-        assert!((f.mean_depth() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_depth_isolated_source_is_zero() {
-        let g = Graph::empty(3);
-        let f = flood(&g, 0, 5);
-        assert_eq!(f.mean_depth(), 0.0);
-    }
-
-    #[test]
     fn accumulate_up_sums_subtrees() {
         let g = path4();
         let f = flood(&g, 0, 3);
@@ -558,9 +465,7 @@ mod tests {
         assert_eq!(mc.recv[0], 0);
         assert_eq!(mc.recv[1], 2); // first copy + redundant from 2
         assert_eq!(mc.recv[2], 2);
-        assert_eq!(mc.total(), 4);
-        assert_eq!(mc.redundant_recv(1, &f), 1);
-        assert_eq!(mc.redundant_recv(0, &f), 0);
+        assert_eq!(mc.sent.iter().sum::<u32>(), 4);
     }
 
     #[test]
@@ -571,8 +476,7 @@ mod tests {
         assert_eq!(mc.sent[1], 2);
         assert_eq!(mc.recv[0], 1);
         assert_eq!(mc.recv[2], 1);
-        assert_eq!(mc.total(), 2);
-        assert_eq!(mc.redundant_recv(0, &f), 0);
+        assert_eq!(mc.sent.iter().sum::<u32>(), 2);
     }
 
     #[test]
@@ -624,7 +528,6 @@ mod tests {
                     scratch.flood(&g, src, ttl);
                     assert_eq!(scratch.order(), &f.order[..], "order src={src} ttl={ttl}");
                     assert_eq!(scratch.reach(), f.reach());
-                    assert_eq!(scratch.mean_depth(), f.mean_depth());
                     for &v in &f.order {
                         assert_eq!(scratch.depth(v), f.depth[v as usize]);
                         assert_eq!(scratch.parent(v), f.parent[v as usize]);
@@ -640,23 +543,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_accumulate_matches_flood_result() {
-        let g = scrambled_graph(40, 90, 7);
-        let mut scratch = FloodScratch::new();
-        for src in [0u32, 5, 21] {
-            let f = flood(&g, src, 3);
-            scratch.flood(&g, src, 3);
-            let mut a = vec![1.0; g.num_nodes()];
-            let mut b = a.clone();
-            f.accumulate_up(&mut a);
-            scratch.accumulate_up(&mut b);
-            for &v in &f.order {
-                assert_eq!(a[v as usize], b[v as usize]);
             }
         }
     }

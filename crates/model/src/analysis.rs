@@ -24,10 +24,10 @@
 //!    probability `p_T = P(N_T ≥ 1)`; the expected message
 //!    (`p_T`-weighted fixed overhead + `28·E[K_T]` address bytes +
 //!    `76·E[N_T]` result bytes) travels up the BFS predecessor tree,
-//!    charging every intermediate cluster. The per-tree-node subtree
-//!    sums are computed in one deepest-first pass
-//!    ([`sp_graph::traverse::FloodScratch::accumulate_up`]), so a whole
-//!    source's response accounting is O(reach) instead of
+//!    charging every intermediate cluster. A cluster's descendants all
+//!    come after it in BFS order, so one deepest-first pass over the
+//!    visit order completes every subtree sum before it is read, and a
+//!    whole source's response accounting is O(reach) instead of
 //!    O(reach × depth).
 //! 4. **Cluster-local legs** — for client-submitted queries, the
 //!    client→super-peer submission and the super-peer→client delivery
@@ -45,19 +45,28 @@
 //!
 //! * [`Engine::Fast`] (default) — floods into a reusable
 //!   [`sp_graph::FloodScratch`] (zero per-source heap allocation) and
-//!   charges propagation by iterating the flood's **touched list**,
-//!   making one source O(reach + local edges) instead of O(n). The
-//!   source loop is split into a **fixed number of shards**
-//!   ([`AnalysisOptions::shards`], independent of the thread count)
-//!   that are processed by up to [`AnalysisOptions::threads`] scoped
-//!   worker threads, each with its own scratch and accumulators.
-//!   Shard accumulators are merged in shard order, so the result is
-//!   **bitwise identical for any thread count**; changing the shard
-//!   count only reassociates floating-point sums (≤ 1e-12 relative).
-//! * [`Engine::Reference`] — the original single-threaded,
-//!   allocate-per-source implementation with the O(n) propagation
-//!   scan. Kept as the correctness oracle and benchmark baseline; with
-//!   `shards: 1` the Fast engine reproduces it bitwise.
+//!   charges each source in two passes over the flood's **touched
+//!   list**: a forward pass in BFS order (propagation, index probe, the
+//!   cluster's own response, results and EPL) and a reverse pass,
+//!   deepest first (responses out and in, then the subtree sum into the
+//!   parent). Each visit reads one per-cluster table record and writes
+//!   one accumulator record, making one source O(reach + local edges)
+//!   instead of O(n). The source loop is split into a **fixed number
+//!   of shards** ([`AnalysisOptions::shards`], independent of the
+//!   thread count) that are processed by up to
+//!   [`AnalysisOptions::threads`] scoped worker threads, each with its
+//!   own scratch and accumulators. Shard accumulators are merged in
+//!   shard order, so the result is **bitwise identical for any thread
+//!   count**; changing the shard count only reassociates
+//!   floating-point sums (≤ 1e-12 relative).
+//! * [`Engine::Reference`] — the original single-threaded algorithm:
+//!   a freshly allocated flood and message counts per source, the O(n)
+//!   propagation scan, and one deepest-first accumulation pass per
+//!   response quantity. Kept as the correctness oracle and benchmark
+//!   baseline; with `shards: 1` the Fast engine reproduces it bitwise.
+//!   Both engines read one per-cluster table and write one accumulator
+//!   layout, so their agreement cannot see a mistake in either; the
+//!   pinned outputs in `tests/engine_determinism.rs` can.
 //!
 //! Join and update loads are charged directly from each peer's own
 //! rate (join rate = 1/lifespan; Table 1 update rate) to itself and its
@@ -174,29 +183,58 @@ impl AnalysisResult {
     }
 }
 
-/// Per-cluster tables precomputed once per instance and shared
-/// (read-only) by all source-loop workers.
-struct ClusterTables {
-    n_results: Vec<f64>, // E[N_T]
-    p_respond: Vec<f64>, // P(N_T >= 1)
-    resp_b: Vec<f64>,    // expected response bytes
-    resp_su: Vec<f64>,   // expected send units
-    resp_ru: Vec<f64>,   // expected recv units
-    users: Vec<f64>,     // clients + partners
-    partner_conn: Vec<f64>,
+/// A cluster's expected response to one query, or the sum of these
+/// over a BFS subtree.
+#[derive(Clone, Copy, Default)]
+struct Response {
+    /// Expected response bytes.
+    bytes: f64,
+    /// Expected processing units to send it.
+    send_units: f64,
+    /// Expected processing units to receive it.
+    recv_units: f64,
+    /// Expected response messages: `P(N_T ≥ 1)` for one cluster.
+    msgs: f64,
+}
+
+impl std::ops::AddAssign for Response {
+    fn add_assign(&mut self, o: Response) {
+        self.bytes += o.bytes;
+        self.send_units += o.send_units;
+        self.recv_units += o.recv_units;
+        self.msgs += o.msgs;
+    }
+}
+
+/// One cluster's record in the per-instance table that both engines
+/// and the join/update pass read. Built once per instance, shared
+/// read-only by all source-loop workers.
+struct ClusterRow {
+    /// The cluster's own expected response.
+    resp: Response,
+    /// `E[N_T]`, expected results from the cluster's index.
+    n_results: f64,
+    /// Users in the cluster: clients plus partners.
+    users: f64,
+    /// `multiplex_units` of a partner's open connections.
+    mux: f64,
+}
+
+/// Bytes in, bytes out and processing units charged to one cluster.
+#[derive(Clone, Copy, Default)]
+struct Charge {
+    bytes_in: f64,
+    bytes_out: f64,
+    units: f64,
 }
 
 /// Everything the query-charging loop accumulates. One per shard in
 /// the Fast engine; merged in fixed shard order.
 struct QueryCharges {
-    // Cluster-level partner charges, split /k over partners at the end.
-    sp_in: Vec<f64>,
-    sp_out: Vec<f64>,
-    sp_units: Vec<f64>,
-    // Per-client charges (each client of cluster i pays these).
-    cl_in: Vec<f64>,
-    cl_out: Vec<f64>,
-    cl_units: Vec<f64>,
+    /// Cluster-level partner charges, split /k over partners at the end.
+    sp: Vec<Charge>,
+    /// Per-client charges (each client of cluster i pays these).
+    cl: Vec<Charge>,
     results_stats: OnlineStats,
     results_weight: f64,
     results_weighted_sum: f64,
@@ -209,12 +247,8 @@ struct QueryCharges {
 impl QueryCharges {
     fn new(n: usize) -> Self {
         QueryCharges {
-            sp_in: vec![0.0; n],
-            sp_out: vec![0.0; n],
-            sp_units: vec![0.0; n],
-            cl_in: vec![0.0; n],
-            cl_out: vec![0.0; n],
-            cl_units: vec![0.0; n],
+            sp: vec![Charge::default(); n],
+            cl: vec![Charge::default(); n],
             results_stats: OnlineStats::new(),
             results_weight: 0.0,
             results_weighted_sum: 0.0,
@@ -226,23 +260,11 @@ impl QueryCharges {
     }
 
     fn merge(&mut self, other: &QueryCharges) {
-        for (a, b) in self.sp_in.iter_mut().zip(&other.sp_in) {
-            *a += b;
-        }
-        for (a, b) in self.sp_out.iter_mut().zip(&other.sp_out) {
-            *a += b;
-        }
-        for (a, b) in self.sp_units.iter_mut().zip(&other.sp_units) {
-            *a += b;
-        }
-        for (a, b) in self.cl_in.iter_mut().zip(&other.cl_in) {
-            *a += b;
-        }
-        for (a, b) in self.cl_out.iter_mut().zip(&other.cl_out) {
-            *a += b;
-        }
-        for (a, b) in self.cl_units.iter_mut().zip(&other.cl_units) {
-            *a += b;
+        let pairs = self.sp.iter_mut().zip(&other.sp);
+        for (a, b) in pairs.chain(self.cl.iter_mut().zip(&other.cl)) {
+            a.bytes_in += b.bytes_in;
+            a.bytes_out += b.bytes_out;
+            a.units += b.units;
         }
         self.results_stats.merge(&other.results_stats);
         self.results_weight += other.results_weight;
@@ -254,36 +276,39 @@ impl QueryCharges {
     }
 }
 
-/// Reusable per-worker buffers: the flood scratch plus the four
-/// response-accumulation arrays. Allocated once per worker thread,
+/// Reusable per-worker buffers: the flood scratch plus one subtree
+/// response record per cluster. Allocated once per worker thread,
 /// reused for every source — the flood path performs **zero heap
 /// allocation per source**.
 struct WorkerScratch {
     flood: FloodScratch,
-    rb: Vec<f64>,
-    su: Vec<f64>,
-    ru: Vec<f64>,
-    msgs: Vec<f64>,
+    sub: Vec<Response>,
 }
 
 impl WorkerScratch {
     fn new(n: usize) -> Self {
         WorkerScratch {
             flood: FloodScratch::new(),
-            rb: vec![0.0; n],
-            su: vec![0.0; n],
-            ru: vec![0.0; n],
-            msgs: vec![0.0; n],
+            sub: vec![Response::default(); n],
         }
     }
 }
 
 /// Charges one shard of sources into `acc` using the allocation-free
-/// scratch flood. Per-index charge order matches the Reference engine
-/// exactly, so a single-shard run is bitwise identical to it.
+/// scratch flood, in two passes over each flood's touched list.
+///
+/// The forward pass, in BFS order, charges query propagation and the
+/// index probe, seeds the cluster's subtree record with its own
+/// response, and adds the result and EPL terms. The reverse pass,
+/// deepest first, finds each subtree record complete (every descendant
+/// comes later in BFS order and has already added into it), charges the
+/// cluster's response out and in, and adds the record into its
+/// parent's. Every accumulator index receives its additions in the
+/// Reference engine's order, so a single-shard run is bitwise identical
+/// to it.
 fn charge_shard(
     inst: &NetworkInstance,
-    t: &ClusterTables,
+    t: &[ClusterRow],
     sources: &[u32],
     src_weight: f64,
     ws: &mut WorkerScratch,
@@ -292,7 +317,7 @@ fn charge_shard(
     let cm = &inst.config.costs;
     let qr = inst.config.query_rate;
     let ttl = inst.config.ttl;
-    let client_conn = inst.config.redundancy_k as f64;
+    let mux_c = cm.multiplex_units(inst.config.redundancy_k as f64);
     let qbytes = cm.query_bytes();
     let send_q = cm.send_query_units();
     let recv_q = cm.recv_query_units();
@@ -301,104 +326,96 @@ fn charge_shard(
         let iu = i as usize;
         inst.topology.flood_into(&mut ws.flood, i, ttl);
         let fs = &ws.flood;
+        let sub = &mut ws.sub;
+        let src = &t[iu];
         let num_clients = inst.clusters[iu].clients.len() as f64;
         // Queries per second originating in cluster i (scaled if
         // sources are sampled).
-        let w_all = t.users[iu] * qr * src_weight;
+        let w_all = src.users * qr * src_weight;
         let w_client_total = num_clients * qr * src_weight;
 
-        // 1+2. Query propagation and index probes — O(reach), not
-        // O(n): a cluster with zero sent and received copies was not
-        // reached, contributes nothing, and is not on the touched
-        // list.
+        // Forward: query propagation, index probe, own response,
+        // results and EPL. O(reach), not O(n): a cluster with zero sent
+        // and received copies was not reached, contributes nothing, and
+        // is not on the touched list. The result total starts at 0.0
+        // where the Reference's `Iterator::sum` starts at -0.0; the
+        // first term, the source's own E[N_T] ≥ 0, makes them equal.
+        let mut total_results = 0.0;
         for &v in fs.order() {
             let vu = v as usize;
+            let c = &t[vu];
+            let a = &mut acc.sp[vu];
             let s = fs.sent(v) as f64;
             if s > 0.0 {
-                acc.sp_out[vu] += w_all * s * qbytes;
-                acc.sp_units[vu] += w_all * s * (send_q + cm.multiplex_units(t.partner_conn[vu]));
+                a.bytes_out += w_all * s * qbytes;
+                a.units += w_all * s * (send_q + c.mux);
             }
             let r = fs.recv(v) as f64;
             if r > 0.0 {
-                acc.sp_in[vu] += w_all * r * qbytes;
-                acc.sp_units[vu] += w_all * r * (recv_q + cm.multiplex_units(t.partner_conn[vu]));
+                a.bytes_in += w_all * r * qbytes;
+                a.units += w_all * r * (recv_q + c.mux);
+            }
+            a.units += w_all * cm.process_query_units(c.n_results);
+            // Assigned, not added: this overwrites the previous source's
+            // sum in every slot the reverse pass reads, so nothing is
+            // cleared between sources.
+            sub[vu] = c.resp;
+            total_results += c.n_results;
+            if v != i {
+                acc.epl_num += src.users * c.resp.msgs * fs.depth(v) as f64;
+                acc.epl_den += src.users * c.resp.msgs;
             }
         }
-        for &v in fs.order() {
-            acc.sp_units[v as usize] += w_all * cm.process_query_units(t.n_results[v as usize]);
-        }
 
-        // 3. Responses up the predecessor tree.
-        for &v in fs.order() {
+        // Reverse: responses up the predecessor tree.
+        for &v in fs.order().iter().rev() {
             let vu = v as usize;
-            ws.rb[vu] = t.resp_b[vu];
-            ws.su[vu] = t.resp_su[vu];
-            ws.ru[vu] = t.resp_ru[vu];
-            ws.msgs[vu] = t.p_respond[vu];
-        }
-        fs.accumulate_up(&mut ws.rb);
-        fs.accumulate_up(&mut ws.su);
-        fs.accumulate_up(&mut ws.ru);
-        fs.accumulate_up(&mut ws.msgs);
-        for &v in fs.order() {
-            let vu = v as usize;
-            let mux = cm.multiplex_units(t.partner_conn[vu]);
+            let c = &t[vu];
+            let a = &mut acc.sp[vu];
+            let up = sub[vu];
             if v != i {
                 // v forwards its whole subtree's responses to its
                 // parent (incl. its own response).
-                acc.sp_out[vu] += w_all * ws.rb[vu];
-                acc.sp_units[vu] += w_all * (ws.su[vu] + mux * ws.msgs[vu]);
+                a.bytes_out += w_all * up.bytes;
+                a.units += w_all * (up.send_units + c.mux * up.msgs);
             }
             // v receives its children's subtrees.
-            let in_b = ws.rb[vu] - t.resp_b[vu];
+            let in_b = up.bytes - c.resp.bytes;
             if in_b > 0.0 {
-                acc.sp_in[vu] += w_all * in_b;
-                acc.sp_units[vu] +=
-                    w_all * ((ws.ru[vu] - t.resp_ru[vu]) + mux * (ws.msgs[vu] - t.p_respond[vu]));
+                a.bytes_in += w_all * in_b;
+                a.units +=
+                    w_all * ((up.recv_units - c.resp.recv_units) + c.mux * (up.msgs - c.resp.msgs));
+            }
+            if v != i {
+                sub[fs.parent(v) as usize] += up;
             }
         }
 
-        // 4. Cluster-local legs for client-submitted queries. rb[i] is
-        // now the total expected response bytes of the whole reach
-        // (own cluster included), msgs[i] the total response messages.
+        // Cluster-local legs for client-submitted queries. sub[i] is
+        // now the whole reach's expected response (own cluster
+        // included).
         if num_clients > 0.0 {
+            let all = sub[iu];
             let cw = qr * src_weight; // per client
-            acc.cl_out[iu] += cw * qbytes;
-            acc.cl_units[iu] += cw * (send_q + cm.multiplex_units(client_conn));
-            acc.cl_in[iu] += cw * ws.rb[iu];
-            acc.cl_units[iu] += cw * (ws.ru[iu] + cm.multiplex_units(client_conn) * ws.msgs[iu]);
+            let cl = &mut acc.cl[iu];
+            cl.bytes_out += cw * qbytes;
+            cl.units += cw * (send_q + mux_c);
+            cl.bytes_in += cw * all.bytes;
+            cl.units += cw * (all.recv_units + mux_c * all.msgs);
 
-            let mux = cm.multiplex_units(t.partner_conn[iu]);
-            acc.sp_in[iu] += w_client_total * qbytes;
-            acc.sp_units[iu] += w_client_total * (recv_q + mux);
-            acc.sp_out[iu] += w_client_total * ws.rb[iu];
-            acc.sp_units[iu] += w_client_total * (ws.su[iu] + mux * ws.msgs[iu]);
+            let a = &mut acc.sp[iu];
+            a.bytes_in += w_client_total * qbytes;
+            a.units += w_client_total * (recv_q + src.mux);
+            a.bytes_out += w_client_total * all.bytes;
+            a.units += w_client_total * (all.send_units + src.mux * all.msgs);
         }
 
-        // Results, EPL, reach.
-        let total_results: f64 = fs.order().iter().map(|&v| t.n_results[v as usize]).sum();
         acc.results_stats.push(total_results);
-        acc.results_weighted_sum += t.users[iu] * total_results;
-        acc.results_weight += t.users[iu];
+        acc.results_weighted_sum += src.users * total_results;
+        acc.results_weight += src.users;
         acc.results_by_outdeg
             .push(inst.topology.degree(i) as u64, total_results);
-        for &v in fs.order() {
-            if v != i {
-                let vu = v as usize;
-                acc.epl_num += t.users[iu] * t.p_respond[vu] * fs.depth(v) as f64;
-                acc.epl_den += t.users[iu] * t.p_respond[vu];
-            }
-        }
         acc.reach_stats.push(fs.reach() as f64);
-
-        // Clear scratch (only reached indices were written).
-        for &v in fs.order() {
-            let vu = v as usize;
-            ws.rb[vu] = 0.0;
-            ws.su[vu] = 0.0;
-            ws.ru[vu] = 0.0;
-            ws.msgs[vu] = 0.0;
-        }
     }
 }
 
@@ -407,7 +424,7 @@ fn charge_shard(
 /// per-shard accumulators in shard order.
 fn charge_queries_fast(
     inst: &NetworkInstance,
-    t: &ClusterTables,
+    t: &[ClusterRow],
     sources: &[u32],
     src_weight: f64,
     opts: &AnalysisOptions,
@@ -438,13 +455,17 @@ fn charge_queries_fast(
     total
 }
 
-/// Reference engine: the original sequential implementation — one
-/// fresh allocation set per source and an O(n) propagation scan. Kept
-/// verbatim as the oracle the Fast engine is tested against and the
-/// baseline the benchmarks measure speedup from.
+/// Reference engine: the original sequential algorithm — one fresh
+/// flood and message-count allocation set per source, an O(n)
+/// propagation scan, and one deepest-first
+/// [`FloodResult::accumulate_up`](sp_graph::FloodResult::accumulate_up)
+/// pass per response quantity. It reads the same per-cluster table and
+/// writes the same accumulators as the Fast engine. Kept as the oracle
+/// the Fast engine is tested against and the baseline the benchmarks
+/// measure speedup from.
 fn charge_queries_reference(
     inst: &NetworkInstance,
-    t: &ClusterTables,
+    t: &[ClusterRow],
     sources: &[u32],
     src_weight: f64,
 ) -> QueryCharges {
@@ -469,35 +490,35 @@ fn charge_queries_reference(
         let iu = i as usize;
         let (fl, mc) = inst.topology.flood(i, ttl);
         let num_clients = inst.clusters[iu].clients.len() as f64;
-        let w_all = t.users[iu] * qr * src_weight;
+        let w_all = t[iu].users * qr * src_weight;
         let w_client_total = num_clients * qr * src_weight;
 
         // 1. Query propagation (including redundant copies).
-        for v in 0..n {
+        for (v, c) in t.iter().enumerate() {
             let s = mc.sent[v] as f64;
             if s > 0.0 {
-                acc.sp_out[v] += w_all * s * qbytes;
-                acc.sp_units[v] += w_all * s * (send_q + cm.multiplex_units(t.partner_conn[v]));
+                acc.sp[v].bytes_out += w_all * s * qbytes;
+                acc.sp[v].units += w_all * s * (send_q + c.mux);
             }
             let r = mc.recv[v] as f64;
             if r > 0.0 {
-                acc.sp_in[v] += w_all * r * qbytes;
-                acc.sp_units[v] += w_all * r * (recv_q + cm.multiplex_units(t.partner_conn[v]));
+                acc.sp[v].bytes_in += w_all * r * qbytes;
+                acc.sp[v].units += w_all * r * (recv_q + c.mux);
             }
         }
 
         // 2. Index probe at every reached cluster.
         for &v in &fl.order {
-            acc.sp_units[v as usize] += w_all * cm.process_query_units(t.n_results[v as usize]);
+            acc.sp[v as usize].units += w_all * cm.process_query_units(t[v as usize].n_results);
         }
 
         // 3. Responses up the predecessor tree.
         for &v in &fl.order {
             let vu = v as usize;
-            rb[vu] = t.resp_b[vu];
-            su[vu] = t.resp_su[vu];
-            ru[vu] = t.resp_ru[vu];
-            msgs[vu] = t.p_respond[vu];
+            rb[vu] = t[vu].resp.bytes;
+            su[vu] = t[vu].resp.send_units;
+            ru[vu] = t[vu].resp.recv_units;
+            msgs[vu] = t[vu].resp.msgs;
         }
         fl.accumulate_up(&mut rb);
         fl.accumulate_up(&mut su);
@@ -505,46 +526,47 @@ fn charge_queries_reference(
         fl.accumulate_up(&mut msgs);
         for &v in &fl.order {
             let vu = v as usize;
-            let mux = cm.multiplex_units(t.partner_conn[vu]);
+            let own = &t[vu].resp;
+            let mux = t[vu].mux;
             if v != i {
-                acc.sp_out[vu] += w_all * rb[vu];
-                acc.sp_units[vu] += w_all * (su[vu] + mux * msgs[vu]);
+                acc.sp[vu].bytes_out += w_all * rb[vu];
+                acc.sp[vu].units += w_all * (su[vu] + mux * msgs[vu]);
             }
-            let in_b = rb[vu] - t.resp_b[vu];
+            let in_b = rb[vu] - own.bytes;
             if in_b > 0.0 {
-                acc.sp_in[vu] += w_all * in_b;
-                acc.sp_units[vu] +=
-                    w_all * ((ru[vu] - t.resp_ru[vu]) + mux * (msgs[vu] - t.p_respond[vu]));
+                acc.sp[vu].bytes_in += w_all * in_b;
+                acc.sp[vu].units +=
+                    w_all * ((ru[vu] - own.recv_units) + mux * (msgs[vu] - own.msgs));
             }
         }
 
         // 4. Cluster-local legs for client-submitted queries.
         if num_clients > 0.0 {
             let cw = qr * src_weight; // per client
-            acc.cl_out[iu] += cw * qbytes;
-            acc.cl_units[iu] += cw * (send_q + cm.multiplex_units(client_conn));
-            acc.cl_in[iu] += cw * rb[iu];
-            acc.cl_units[iu] += cw * (ru[iu] + cm.multiplex_units(client_conn) * msgs[iu]);
+            acc.cl[iu].bytes_out += cw * qbytes;
+            acc.cl[iu].units += cw * (send_q + cm.multiplex_units(client_conn));
+            acc.cl[iu].bytes_in += cw * rb[iu];
+            acc.cl[iu].units += cw * (ru[iu] + cm.multiplex_units(client_conn) * msgs[iu]);
 
-            let mux = cm.multiplex_units(t.partner_conn[iu]);
-            acc.sp_in[iu] += w_client_total * qbytes;
-            acc.sp_units[iu] += w_client_total * (recv_q + mux);
-            acc.sp_out[iu] += w_client_total * rb[iu];
-            acc.sp_units[iu] += w_client_total * (su[iu] + mux * msgs[iu]);
+            let mux = t[iu].mux;
+            acc.sp[iu].bytes_in += w_client_total * qbytes;
+            acc.sp[iu].units += w_client_total * (recv_q + mux);
+            acc.sp[iu].bytes_out += w_client_total * rb[iu];
+            acc.sp[iu].units += w_client_total * (su[iu] + mux * msgs[iu]);
         }
 
         // Results, EPL, reach.
-        let total_results: f64 = fl.order.iter().map(|&v| t.n_results[v as usize]).sum();
+        let total_results: f64 = fl.order.iter().map(|&v| t[v as usize].n_results).sum();
         acc.results_stats.push(total_results);
-        acc.results_weighted_sum += t.users[iu] * total_results;
-        acc.results_weight += t.users[iu];
+        acc.results_weighted_sum += t[iu].users * total_results;
+        acc.results_weight += t[iu].users;
         acc.results_by_outdeg
             .push(inst.topology.degree(i) as u64, total_results);
         for &v in &fl.order {
             if v != i {
                 let vu = v as usize;
-                acc.epl_num += t.users[iu] * t.p_respond[vu] * fl.depth[vu] as f64;
-                acc.epl_den += t.users[iu] * t.p_respond[vu];
+                acc.epl_num += t[iu].users * t[vu].resp.msgs * fl.depth[vu] as f64;
+                acc.epl_den += t[iu].users * t[vu].resp.msgs;
             }
         }
         acc.reach_stats.push(fl.reach() as f64);
@@ -578,29 +600,27 @@ pub fn analyze(
 
     // ---- Per-cluster precomputation -------------------------------
     let mut cache = MatchCache::new();
-    let mut tables = ClusterTables {
-        n_results: vec![0.0; n],
-        p_respond: vec![0.0; n],
-        resp_b: vec![0.0; n],
-        resp_su: vec![0.0; n],
-        resp_ru: vec![0.0; n],
-        users: vec![0.0; n],
-        partner_conn: vec![0.0; n],
-    };
-    for i in 0..n {
-        let files = inst.cluster_files(i) as f64;
-        tables.n_results[i] = model.expected_results(files);
-        let p = cache.prob_some_match(model, inst.cluster_files(i).min(u64::from(u32::MAX)) as u32);
-        tables.p_respond[i] = p;
-        let k_addrs = cache.expected_responding_collections(model, inst.cluster_member_files(i));
-        let nr = tables.n_results[i];
-        tables.resp_b[i] = cm.expected_response_bytes(p, k_addrs, nr);
-        tables.resp_su[i] = cm.expected_send_response_units(p, k_addrs, nr);
-        tables.resp_ru[i] = cm.expected_recv_response_units(p, k_addrs, nr);
-        let cluster = &inst.clusters[i];
-        tables.users[i] = (cluster.clients.len() + cluster.partners.len()) as f64;
-        tables.partner_conn[i] = inst.connections(cluster.partners[0]);
-    }
+    let table: Vec<ClusterRow> = (0..n)
+        .map(|i| {
+            let n_results = model.expected_results(inst.cluster_files(i) as f64);
+            let p =
+                cache.prob_some_match(model, inst.cluster_files(i).min(u64::from(u32::MAX)) as u32);
+            let k_addrs =
+                cache.expected_responding_collections(model, inst.cluster_member_files(i));
+            let cluster = &inst.clusters[i];
+            ClusterRow {
+                resp: Response {
+                    bytes: cm.expected_response_bytes(p, k_addrs, n_results),
+                    send_units: cm.expected_send_response_units(p, k_addrs, n_results),
+                    recv_units: cm.expected_recv_response_units(p, k_addrs, n_results),
+                    msgs: p,
+                },
+                n_results,
+                users: (cluster.clients.len() + cluster.partners.len()) as f64,
+                mux: cm.multiplex_units(inst.connections(cluster.partners[0])),
+            }
+        })
+        .collect();
     let client_conn = kf;
 
     // ---- Source selection ------------------------------------------
@@ -622,16 +642,12 @@ pub fn analyze(
 
     // ---- Query charges, one flood per source cluster ---------------
     let q = match opts.engine {
-        Engine::Fast => charge_queries_fast(inst, &tables, sources, src_weight, opts),
-        Engine::Reference => charge_queries_reference(inst, &tables, sources, src_weight),
+        Engine::Fast => charge_queries_fast(inst, &table, sources, src_weight, opts),
+        Engine::Reference => charge_queries_reference(inst, &table, sources, src_weight),
     };
     let QueryCharges {
-        mut sp_in,
-        sp_out,
-        mut sp_units,
-        cl_in,
-        cl_out,
-        cl_units,
+        mut sp,
+        cl,
         results_stats,
         results_weight,
         results_weighted_sum,
@@ -652,7 +668,7 @@ pub fn analyze(
 
     for i in 0..n {
         let cluster = &inst.clusters[i];
-        let mux_p = cm.multiplex_units(tables.partner_conn[i]);
+        let mux_p = table[i].mux;
         let mux_c = cm.multiplex_units(client_conn);
         for &c in &cluster.clients {
             let peer = &inst.peers[c as usize];
@@ -661,13 +677,13 @@ pub fn analyze(
             // Join: metadata to every partner.
             peer_out[c as usize] += jr * kf * cm.join_bytes(x);
             peer_units[c as usize] += jr * kf * (cm.send_join_units(x) + mux_c);
-            sp_in[i] += jr * kf * cm.join_bytes(x);
-            sp_units[i] += jr * kf * (cm.recv_join_units(x) + cm.process_join_units(x) + mux_p);
+            sp[i].bytes_in += jr * kf * cm.join_bytes(x);
+            sp[i].units += jr * kf * (cm.recv_join_units(x) + cm.process_join_units(x) + mux_p);
             // Updates: one per partner per update.
             peer_out[c as usize] += ur * kf * cm.update_bytes();
             peer_units[c as usize] += ur * kf * (cm.send_update_units() + mux_c);
-            sp_in[i] += ur * kf * cm.update_bytes();
-            sp_units[i] += ur * kf * (cm.recv_update_units() + cm.process_update_units() + mux_p);
+            sp[i].bytes_in += ur * kf * cm.update_bytes();
+            sp[i].units += ur * kf * (cm.recv_update_units() + cm.process_update_units() + mux_p);
         }
         for &p in &cluster.partners {
             let peer = &inst.peers[p as usize];
@@ -682,13 +698,13 @@ pub fn analyze(
                 // Share own collection metadata with co-partners.
                 peer_out[p as usize] += jr * co * cm.join_bytes(x);
                 peer_units[p as usize] += jr * co * (cm.send_join_units(x) + mux_p);
-                sp_in[i] += jr * co * cm.join_bytes(x);
-                sp_units[i] += jr * co * (cm.recv_join_units(x) + cm.process_join_units(x) + mux_p);
+                sp[i].bytes_in += jr * co * cm.join_bytes(x);
+                sp[i].units += jr * co * (cm.recv_join_units(x) + cm.process_join_units(x) + mux_p);
                 // Propagate own updates to co-partners.
                 peer_out[p as usize] += ur * co * cm.update_bytes();
                 peer_units[p as usize] += ur * co * (cm.send_update_units() + mux_p);
-                sp_in[i] += ur * co * cm.update_bytes();
-                sp_units[i] +=
+                sp[i].bytes_in += ur * co * cm.update_bytes();
+                sp[i].units +=
                     ur * co * (cm.recv_update_units() + cm.process_update_units() + mux_p);
             }
         }
@@ -701,15 +717,15 @@ pub fn analyze(
         let share = 1.0 / kf;
         for &p in &cluster.partners {
             let pu = p as usize;
-            loads[pu].in_bw = sp_in[i] * share * BITS_PER_BYTE;
-            loads[pu].out_bw = (peer_out[pu] + sp_out[i] * share) * BITS_PER_BYTE;
-            loads[pu].proc = (peer_units[pu] + sp_units[i] * share) * UNIT_CYCLES;
+            loads[pu].in_bw = sp[i].bytes_in * share * BITS_PER_BYTE;
+            loads[pu].out_bw = (peer_out[pu] + sp[i].bytes_out * share) * BITS_PER_BYTE;
+            loads[pu].proc = (peer_units[pu] + sp[i].units * share) * UNIT_CYCLES;
         }
         for &c in &cluster.clients {
             let cu = c as usize;
-            loads[cu].in_bw = cl_in[i] * BITS_PER_BYTE;
-            loads[cu].out_bw = (peer_out[cu] + cl_out[i]) * BITS_PER_BYTE;
-            loads[cu].proc = (peer_units[cu] + cl_units[i]) * UNIT_CYCLES;
+            loads[cu].in_bw = cl[i].bytes_in * BITS_PER_BYTE;
+            loads[cu].out_bw = (peer_out[cu] + cl[i].bytes_out) * BITS_PER_BYTE;
+            loads[cu].proc = (peer_units[cu] + cl[i].units) * UNIT_CYCLES;
         }
     }
 

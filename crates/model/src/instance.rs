@@ -120,7 +120,8 @@ impl Topology {
     /// and the per-cluster query-transmission counts (including
     /// redundant copies).
     ///
-    /// Allocates three n-sized vectors per call; the analysis hot loop
+    /// Allocates four n-sized vectors per call (depth, parent, sent and
+    /// recv) plus the visit order; the analysis hot loop
     /// uses [`Topology::flood_into`] instead.
     pub fn flood(&self, src: NodeId, ttl: u16) -> (FloodResult, MessageCounts) {
         match self {
