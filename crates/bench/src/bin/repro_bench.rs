@@ -71,7 +71,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use sp_bench::{banner, quick_mode, threads};
+use sp_bench::Mode;
 use sp_graph::FloodScratch;
 use sp_model::analysis::{analyze, AnalysisOptions, AnalysisResult, Engine};
 use sp_model::config::Config;
@@ -164,13 +164,13 @@ fn write_json(name: &str, json: &str) {
 
 /// The standard churn workload: defaults (heavy-tailed lifespans with a
 /// 1080 s mean, flooding, no adaptation), cluster size 10.
-fn sim_section() {
+fn sim_section(mode: Mode) {
     let cfg = Config {
-        graph_size: if quick_mode() { 1000 } else { 4000 },
+        graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
         ..Config::default()
     };
-    let duration_secs = if quick_mode() { 600.0 } else { 1800.0 };
+    let duration_secs = if mode.quick { 600.0 } else { 1800.0 };
     let opts = SimOptions {
         duration_secs,
         seed: 42,
@@ -260,7 +260,7 @@ fn sim_section() {
     let rss = peak_rss_kb();
     let json = format!(
         "{{\n  \"bench\": \"sim_standard_churn_flood\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"events_delivered\": {ev},\n  \"events_cancelled\": {cancelled},\n  \"events_stale\": {stale},\n  \"queue_high_water\": {hw},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_wall_s\": {fs:.4},\n  \"events_per_sec_reference\": {epr:.1},\n  \"events_per_sec_fast\": {epf:.1},\n  \"speedup_vs_reference\": {sp:.3},\n  \"fast_run_allocs\": {fa},\n  \"peak_rss_kb\": {rss}\n}}\n",
-        mode = if quick_mode() { "quick" } else { "paper" },
+        mode = if mode.quick { "quick" } else { "paper" },
         gs = cfg.graph_size,
         dur = duration_secs,
         seed = opts.seed,
@@ -285,14 +285,14 @@ fn sim_section() {
 /// so the retry/failover and rejoin machinery is on the hot path.
 /// Engine agreement is asserted — bitwise, fault counters included —
 /// before the speedup is reported.
-fn faults_section() {
+fn faults_section(mode: Mode) {
     let cfg = Config {
-        graph_size: if quick_mode() { 1000 } else { 4000 },
+        graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
         ..Config::default()
     }
     .with_redundancy(true);
-    let duration_secs = if quick_mode() { 600.0 } else { 1800.0 };
+    let duration_secs = if mode.quick { 600.0 } else { 1800.0 };
     let plan = crash_storm_plan(duration_secs);
     let opts = SimOptions {
         duration_secs,
@@ -375,7 +375,7 @@ fn faults_section() {
 
     let json = format!(
         "{{\n  \"bench\": \"sim_crash_storm_faults\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"fault_seed\": {fseed},\n  \"fault_plan_len\": {fpl},\n  \"events_delivered\": {ev},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_wall_s\": {fs:.4},\n  \"events_per_sec_reference\": {epr:.1},\n  \"events_per_sec_fast\": {epf:.1},\n  \"speedup_vs_reference\": {sp:.3},\n  \"fast_run_allocs\": {fa},\n  \"queries_issued\": {qi},\n  \"queries_lost\": {ql},\n  \"recovered_retry\": {rr},\n  \"recovered_failover\": {rf},\n  \"injected_crash\": {ic},\n  \"injected_drop\": {id}\n}}\n",
-        mode = if quick_mode() { "quick" } else { "paper" },
+        mode = if mode.quick { "quick" } else { "paper" },
         gs = cfg.graph_size,
         dur = duration_secs,
         seed = opts.seed,
@@ -413,15 +413,15 @@ fn faults_section() {
 /// under every policy (repair deliberately ignores them), and at the
 /// default churn rate that shared noise floor would swamp the variable
 /// being measured.
-fn repair_section() {
-    let duration_secs = if quick_mode() { 600.0 } else { 1800.0 };
+fn repair_section(mode: Mode) {
+    let duration_secs = if mode.quick { 600.0 } else { 1800.0 };
     let mut cfg = Config {
-        graph_size: if quick_mode() { 1000 } else { 4000 },
+        graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
         ..Config::default()
     };
     cfg.population.lifespan_mean_secs = 12.0 * duration_secs;
-    let trials = if quick_mode() { 4 } else { 8 };
+    let trials = if mode.quick { 4 } else { 8 };
     println!(
         "-- repair: crash storm under each policy, {} peers, {trials} trials x {duration_secs} simulated s --",
         cfg.graph_size
@@ -437,7 +437,7 @@ fn repair_section() {
             &SimTrialOptions {
                 trials,
                 seed: 42,
-                threads: threads(),
+                threads: mode.threads,
                 repair: policy,
                 ..Default::default()
             },
@@ -477,7 +477,7 @@ fn repair_section() {
 
     let json = format!(
         "{{\n  \"bench\": \"repair_crash_storm_reachability\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"trials\": {trials},\n  \"seed\": 42,\n{fields}  \"reachability_gain_k1\": {gain:.6}\n}}\n",
-        mode = if quick_mode() { "quick" } else { "paper" },
+        mode = if mode.quick { "quick" } else { "paper" },
         gs = cfg.graph_size,
         dur = duration_secs,
         gain = promote_partner - off,
@@ -495,15 +495,15 @@ fn repair_section() {
 /// delivered or explicitly shed/rejected, while the uncontrolled
 /// baseline's p99 diverges — are asserted here, so a regression fails
 /// the benchmark itself, not just the downstream gate.
-fn overload_section() {
+fn overload_section(mode: Mode) {
     use sp_model::scenario::{PhaseKind, PhaseSpec, ScenarioPlan};
 
     let cfg = Config {
-        graph_size: if quick_mode() { 1000 } else { 2000 },
+        graph_size: if mode.quick { 1000 } else { 2000 },
         cluster_size: 10,
         ..Config::default()
     };
-    let duration_secs = if quick_mode() { 600.0 } else { 1200.0 };
+    let duration_secs = if mode.quick { 600.0 } else { 1200.0 };
     let crowd_mult = 10.0;
     let mut plan = ScenarioPlan::default();
     plan.phases.push(PhaseSpec {
@@ -606,7 +606,7 @@ fn overload_section() {
 
     let json = format!(
         "{{\n  \"bench\": \"overload_flash_crowd_control\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"crowd_mult\": {crowd_mult},\n  \"service_rate\": {sr:.6},\n  \"queue_capacity\": {qc},\n  \"queries_issued\": {issued},\n  \"controlled_delivered\": {cd},\n  \"controlled_shed\": {cs},\n  \"controlled_rejected\": {cr},\n  \"controlled_rehomed\": {crh},\n  \"controlled_brownout_entries\": {cbe},\n  \"controlled_peak_depth\": {cpd},\n  \"controlled_p50_s\": {cp50:.4},\n  \"controlled_p99_s\": {cp99:.4},\n  \"controlled_p99_bound_s\": {bound:.4},\n  \"accounted_fraction\": {af:.6},\n  \"uncontrolled_delivered\": {ud},\n  \"uncontrolled_residual\": {ur},\n  \"uncontrolled_peak_depth\": {upd},\n  \"uncontrolled_p99_s\": {up99:.4},\n  \"p99_divergence_ratio\": {dv:.3}\n}}\n",
-        mode = if quick_mode() { "quick" } else { "paper" },
+        mode = if mode.quick { "quick" } else { "paper" },
         gs = cfg.graph_size,
         dur = duration_secs,
         seed = opts.seed,
@@ -631,9 +631,9 @@ fn overload_section() {
     write_json("BENCH_overload.json", &json);
 }
 
-fn analyze_section() {
+fn analyze_section(mode: Mode) {
     let cfg = Config {
-        graph_size: if quick_mode() { 10_000 } else { 100_000 },
+        graph_size: if mode.quick { 10_000 } else { 100_000 },
         cluster_size: 10,
         ttl: 7,
         ..Config::default()
@@ -715,7 +715,7 @@ fn analyze_section() {
                 &inst,
                 &model,
                 &AnalysisOptions {
-                    threads: threads(),
+                    threads: mode.threads,
                     ..AnalysisOptions::default()
                 },
                 &mut rng,
@@ -790,7 +790,7 @@ fn analyze_section() {
 
     let json = format!(
         "{{\n  \"bench\": \"analyze_power_law_ttl7_full_sources\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"clusters\": {nc},\n  \"ttl\": {ttl},\n  \"cores\": {cores},\n  \"generate_wall_s\": {gen:.4},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_1_thread_wall_s\": {f1:.4},\n  \"fast_wall_s\": {fs:.4},\n{sweep}  \"thread_speedup_best\": {tsb:.3},\n  \"speedup_vs_reference\": {sp:.3},\n  \"speedup_vs_reference_1_thread\": {sp1:.3},\n  \"flood_allocs_per_source\": {fa},\n  \"flood_sources_measured\": {fsm},\n  \"fast_total_allocs\": {fta},\n  \"peak_rss_kb_reference\": {rss_ref},\n  \"peak_rss_kb\": {rss}\n}}\n",
-        mode = if quick_mode() { "quick" } else { "paper" },
+        mode = if mode.quick { "quick" } else { "paper" },
         gs = cfg.graph_size,
         nc = n_clusters,
         ttl = cfg.ttl,
@@ -837,15 +837,15 @@ fn size_label(peers: usize) -> String {
 ///   and degrades to a coordination-overhead bound (≥ 0.6×) on
 ///   smaller ones, where extra shards cannot beat the core count; the
 ///   recorded `cores` field is what the gate dispatches on.
-fn scale_section() {
+fn scale_section(mode: Mode) {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let sizes: &[usize] = if quick_mode() {
+    let sizes: &[usize] = if mode.quick {
         &[4_000, 40_000]
     } else {
         &[4_000, 40_000, 400_000, 1_000_000]
     };
-    let duration_secs = if quick_mode() { 120.0 } else { 300.0 };
-    let curve_shards = resolve_thread_budget(threads()).min(8);
+    let duration_secs = if mode.quick { 120.0 } else { 300.0 };
+    let curve_shards = resolve_thread_budget(mode.threads).min(8);
     println!(
         "-- scale: sharded engine, up to {} peers, {duration_secs} simulated s, {curve_shards} shard(s) on {cores} core(s) --",
         sizes.last().expect("sizes is non-empty")
@@ -881,7 +881,7 @@ fn scale_section() {
         rss_after_top = peak_rss_kb();
     }
 
-    let sweep_peers: usize = if quick_mode() { 40_000 } else { 400_000 };
+    let sweep_peers: usize = if mode.quick { 40_000 } else { 400_000 };
     let cfg = Config::scale_preset(sweep_peers);
     let mut walls = Vec::new();
     let mut first_metrics = None;
@@ -916,7 +916,7 @@ fn scale_section() {
 
     let json = format!(
         "{{\n  \"bench\": \"scale_sharded_engine_throughput\",\n  \"mode\": \"{mode}\",\n  \"cores\": {cores},\n  \"curve_shards\": {curve_shards},\n  \"duration_secs\": {dur},\n  \"seed\": 42,\n{curve}  \"sweep_peers\": {sw},\n  \"sweep_wall_s_shards_1\": {w1:.4},\n  \"sweep_wall_s_shards_2\": {w2:.4},\n  \"sweep_wall_s_shards_4\": {w4:.4},\n  \"sweep_wall_s_shards_8\": {w8:.4},\n  \"sweep_cross_shard_msgs_8\": {cm},\n  \"speedup_8shard\": {s8:.3},\n  \"peak_rss_kb\": {rss}\n}}\n",
-        mode = if quick_mode() { "quick" } else { "paper" },
+        mode = if mode.quick { "quick" } else { "paper" },
         dur = duration_secs,
         curve = curve_fields,
         sw = sweep_peers,
@@ -942,30 +942,31 @@ fn section_enabled(name: &str) -> bool {
 }
 
 fn main() {
-    banner(
+    let mode = sp_bench::mode();
+    mode.banner(
         "Engine benchmarks",
         "simulator + analysis wall time, allocations, and peak RSS",
     );
     // Smallest footprint first: VmHWM is monotonic, so the simulator's
     // RSS snapshot must be taken before the analysis instance exists.
     if section_enabled("sim") {
-        sim_section();
+        sim_section(mode);
         println!();
     }
     if section_enabled("faults") {
-        faults_section();
+        faults_section(mode);
         println!();
     }
     if section_enabled("repair") {
-        repair_section();
+        repair_section(mode);
         println!();
     }
     if section_enabled("overload") {
-        overload_section();
+        overload_section(mode);
         println!();
     }
     if section_enabled("analyze") {
-        analyze_section();
+        analyze_section(mode);
         println!();
     }
     // Last: the million-peer run has the largest footprint, so an
@@ -973,6 +974,6 @@ fn main() {
     // checked-in scale baseline standalone (REPRO_SECTIONS=scale) so
     // the converse holds for its own RSS snapshot too.
     if section_enabled("scale") {
-        scale_section();
+        scale_section(mode);
     }
 }

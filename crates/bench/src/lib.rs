@@ -1,13 +1,16 @@
-//! Shared plumbing for the reproduction binaries.
+//! Shared plumbing for the `repro` and `repro_bench` binaries.
 //!
-//! Every `repro_*` binary reads three environment variables so the
+//! Both read their run mode from three environment variables, so the
 //! whole suite can be smoke-tested quickly or run at paper scale:
 //!
 //! * `REPRO_QUICK=1` — shrink networks and trial counts (~seconds per
-//!   figure instead of minutes);
+//!   figure instead of minutes); `0` or unset runs at paper scale;
 //! * `REPRO_SEED=<u64>` — override the root seed;
 //! * `SP_THREADS=<n>` — cap the worker-thread budget (default: one
 //!   worker per core; never changes the reported numbers).
+//!
+//! A malformed value is an error, never a silent default: [`mode`]
+//! exits 2 with one stderr line naming the variable and its value.
 
 #![allow(
     clippy::disallowed_methods,
@@ -16,64 +19,100 @@
 
 use sp_core::experiments::Fidelity;
 
-/// Whether quick mode is requested.
-pub fn quick_mode() -> bool {
-    std::env::var("REPRO_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
+/// How a reproduction runs: the parsed `REPRO_QUICK`, `REPRO_SEED` and
+/// `SP_THREADS`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mode {
+    /// Quick mode: scaled-down networks and trial counts.
+    pub quick: bool,
+    /// The root seed, when overridden.
+    pub seed: Option<u64>,
+    /// The worker-thread budget (0 = one per core).
+    pub threads: usize,
 }
 
-/// The worker-thread budget from `SP_THREADS` (0 = one per core).
-pub fn threads() -> usize {
-    std::env::var("SP_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+/// Reads the run mode from the environment. A malformed value prints
+/// one line naming the variable to stderr and exits 2, before anything
+/// reaches stdout.
+pub fn mode() -> Mode {
+    from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
-/// The evaluation fidelity for the current mode.
-pub fn fidelity() -> Fidelity {
-    let mut f = if quick_mode() {
-        Fidelity::quick()
-    } else {
-        Fidelity::standard()
+fn from_env() -> Result<Mode, String> {
+    let quick = match var("REPRO_QUICK").as_deref() {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(v) => return Err(format!("REPRO_QUICK={v:?} is not 0 or 1")),
     };
-    if let Ok(seed) = std::env::var("REPRO_SEED") {
-        if let Ok(seed) = seed.parse() {
-            f.seed = seed;
+    Ok(Mode {
+        quick,
+        seed: decimal("REPRO_SEED", "u64")?,
+        threads: decimal("SP_THREADS", "usize")?.unwrap_or(0),
+    })
+}
+
+/// A variable's value, `None` when unset. A value that is not UTF-8
+/// keeps its replacement characters, so no parse accepts it.
+fn var(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// A decimal variable's value, `None` when unset.
+fn decimal<T: std::str::FromStr>(name: &str, what: &str) -> Result<Option<T>, String> {
+    var(name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name}={v:?} is not a decimal {what}"))
+        })
+        .transpose()
+}
+
+impl Mode {
+    /// The evaluation fidelity for this mode.
+    pub fn fidelity(&self) -> Fidelity {
+        let base = if self.quick {
+            Fidelity::quick()
+        } else {
+            Fidelity::standard()
+        };
+        Fidelity {
+            seed: self.seed.unwrap_or(base.seed),
+            threads: self.threads,
+            ..base
         }
     }
-    f.threads = threads();
-    f
-}
 
-/// Scales a paper-scale network size down in quick mode.
-pub fn scaled(paper_size: usize) -> usize {
-    if quick_mode() {
-        (paper_size / 10).max(200)
-    } else {
-        paper_size
+    /// Scales a paper-scale network size down in quick mode.
+    pub fn scaled(&self, paper_size: usize) -> usize {
+        if self.quick {
+            (paper_size / 10).max(200)
+        } else {
+            paper_size
+        }
     }
-}
 
-/// Scales a simulated duration down in quick mode.
-pub fn scaled_duration(paper_secs: f64) -> f64 {
-    if quick_mode() {
-        (paper_secs / 6.0).max(600.0)
-    } else {
-        paper_secs
+    /// Scales a simulated duration down in quick mode.
+    pub fn scaled_duration(&self, paper_secs: f64) -> f64 {
+        if self.quick {
+            (paper_secs / 6.0).max(600.0)
+        } else {
+            paper_secs
+        }
     }
-}
 
-/// Prints the standard banner for a reproduction binary.
-pub fn banner(figure: &str, what: &str) {
-    println!("================================================================");
-    println!("Reproduction of {figure} — {what}");
-    println!(
-        "mode: {}  (set REPRO_QUICK=1 for a fast smoke run)",
-        if quick_mode() { "quick" } else { "paper-scale" }
-    );
-    println!("================================================================\n");
+    /// Prints the standard banner for a reproduction.
+    pub fn banner(&self, figure: &str, what: &str) {
+        println!("================================================================");
+        println!("Reproduction of {figure} — {what}");
+        println!(
+            "mode: {}  (set REPRO_QUICK=1 for a fast smoke run)",
+            if self.quick { "quick" } else { "paper-scale" }
+        );
+        println!("================================================================\n");
+    }
 }
 
 #[cfg(test)]
@@ -82,13 +121,17 @@ mod tests {
 
     #[test]
     fn scaling_respects_quick_mode() {
-        // Environment-dependent, but the arithmetic is fixed: quick
-        // mode divides by 10 with a floor.
-        if quick_mode() {
-            assert_eq!(scaled(10_000), 1000);
-            assert_eq!(scaled(500), 200);
-        } else {
-            assert_eq!(scaled(10_000), 10_000);
-        }
+        // Quick mode divides sizes by 10 and durations by 6, each with
+        // a floor; paper scale leaves both alone.
+        let quick = Mode {
+            quick: true,
+            ..Mode::default()
+        };
+        assert_eq!(quick.scaled(10_000), 1000);
+        assert_eq!(quick.scaled(500), 200);
+        assert_eq!(quick.scaled_duration(7200.0), 1200.0);
+        assert_eq!(quick.scaled_duration(1800.0), 600.0);
+        assert_eq!(Mode::default().scaled(10_000), 10_000);
+        assert_eq!(Mode::default().scaled_duration(7200.0), 7200.0);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Each submodule packages one experiment: a typed `run` function that
 //! produces the figure's data series, and `render_*` methods that print
-//! the same rows the paper reports. The `sp-bench` crate exposes one
-//! binary per experiment (`repro_fig04`, `repro_fig11`, …), and
-//! EXPERIMENTS.md records paper-versus-measured shape checks.
+//! the same rows the paper reports. The `sp-bench` crate's `repro`
+//! binary prints each one by name (`repro fig04`, `repro fig11`, …),
+//! and EXPERIMENTS.md records paper-versus-measured shape checks.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

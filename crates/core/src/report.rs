@@ -1,6 +1,6 @@
 //! Plain-text report rendering for experiment output.
 //!
-//! The reproduction binaries print the same rows/series the paper's
+//! The `repro` binary prints the same rows/series the paper's
 //! tables and figures report; [`Table`] lays them out with aligned
 //! columns, and the formatting helpers render loads and confidence
 //! intervals compactly.
