@@ -9,21 +9,17 @@
 //! ```
 //!
 //! The tolerance is relative (default 0.25, i.e. 25 %) and can be set
-//! via `CHECK_BENCH_TOL`. It is deliberately loose: CI runners are
-//! noisy shared machines, and the gate is meant to catch structural
-//! regressions (a lost optimization, an accidental O(n²)), not 5 %
-//! jitter.
+//! via `CHECK_BENCH_TOL`; a value that is not a finite, non-negative
+//! decimal exits 2 with one stderr line naming it. It is deliberately
+//! loose: CI runners are noisy shared machines, and the gate is meant
+//! to catch structural regressions (a lost optimization, an accidental
+//! O(n²)), not 5 % jitter.
 //!
 //! Baselines are recorded in `paper` mode while CI smoke runs use
 //! `REPRO_QUICK=1`, so the two sides may disagree on workload size.
 //! When modes differ, only mode-independent *ratio* metrics (e.g.
 //! `speedup_vs_reference`) are compared; absolute wall times and event
 //! counts are checked only between runs of the same mode.
-
-#![allow(
-    clippy::disallowed_methods,
-    reason = "D2 allowlist: the perf gate reads CHECK_BENCH_TOL"
-)]
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -365,13 +361,13 @@ fn check_invariants(name: &str, bench_id: &str, fresh: &Report) -> u32 {
 }
 
 fn main() -> ExitCode {
+    let tol = sp_bench::setting("CHECK_BENCH_TOL", "a finite, non-negative decimal", |v| {
+        v.parse().ok().filter(|&t: &f64| t.is_finite() && t >= 0.0)
+    })
+    .unwrap_or(0.25);
     let mut args = std::env::args().skip(1);
     let baseline_dir = args.next().unwrap_or_else(|| "repro_out".to_string());
     let fresh_dir = args.next().unwrap_or_else(|| "repro_fresh".to_string());
-    let tol: f64 = std::env::var("CHECK_BENCH_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25);
 
     let mut failures = 0;
     let mut compared = 0;

@@ -59,7 +59,11 @@
 //! selects a subset of sections (e.g. to regenerate one baseline — the scale
 //! baseline in particular should be generated standalone with
 //! `REPRO_SECTIONS=scale` so the monotonic `VmHWM` snapshot after the
-//! million-peer run is not inflated by the analysis instance).
+//! million-peer run is not inflated by the analysis instance);
+//! `REPRO_SIM_REPS=<n>` sets the sim and fault sections' repetitions
+//! (default 5). An unknown or empty section name, or a repetition count
+//! that is not a positive decimal, exits 2 with one stderr line naming
+//! the variable, before any section runs.
 
 #![allow(
     clippy::disallowed_types,
@@ -163,8 +167,9 @@ fn write_json(name: &str, json: &str) {
 }
 
 /// The standard churn workload: defaults (heavy-tailed lifespans with a
-/// 1080 s mean, flooding, no adaptation), cluster size 10.
-fn sim_section(mode: Mode) {
+/// 1080 s mean, flooding, no adaptation), cluster size 10, run `reps`
+/// times per engine.
+fn sim_section(mode: Mode, reps: usize) {
     let cfg = Config {
         graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
@@ -187,12 +192,6 @@ fn sim_section(mode: Mode) {
     // same protocol for both engines, so the ratio stays honest. The
     // engines are deterministic, so every repetition must reproduce the
     // first repetition's metrics exactly; anything else is a bug.
-    let reps: usize = std::env::var("REPRO_SIM_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(5);
-
     // Repetitions are interleaved (reference, fast, reference, fast,
     // ...) so a machine-load drift during the section cannot
     // systematically favor one engine over the other.
@@ -285,7 +284,7 @@ fn sim_section(mode: Mode) {
 /// so the retry/failover and rejoin machinery is on the hot path.
 /// Engine agreement is asserted — bitwise, fault counters included —
 /// before the speedup is reported.
-fn faults_section(mode: Mode) {
+fn faults_section(mode: Mode, reps: usize) {
     let cfg = Config {
         graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
@@ -304,12 +303,6 @@ fn faults_section(mode: Mode) {
         "-- fault path: crash-storm plan, {} peers (k = 2), {duration_secs} simulated s --",
         cfg.graph_size
     );
-
-    let reps: usize = std::env::var("REPRO_SIM_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(5);
 
     // Same interleaved best-of-reps protocol as the sim section.
     let mut reference_s = f64::INFINITY;
@@ -931,30 +924,41 @@ fn scale_section(mode: Mode) {
     write_json("BENCH_scale.json", &json);
 }
 
-/// Whether a section is selected by `REPRO_SECTIONS` (a comma list of
-/// `sim`, `faults`, `repair`, `overload`, `analyze`, `scale`;
-/// unset = all).
-fn section_enabled(name: &str) -> bool {
-    match std::env::var("REPRO_SECTIONS") {
-        Ok(list) => list.split(',').any(|s| s.trim() == name),
-        Err(_) => true,
-    }
-}
+/// The sections, in the order they run; `REPRO_SECTIONS` selects a
+/// subset as a comma list of these names (unset = all).
+const SECTIONS: [&str; 6] = ["sim", "faults", "repair", "overload", "analyze", "scale"];
 
 fn main() {
     let mode = sp_bench::mode();
+    let sections = sp_bench::setting(
+        "REPRO_SECTIONS",
+        "a comma list of sim, faults, repair, overload, analyze, scale",
+        |list| {
+            list.split(',')
+                .map(|name| SECTIONS.into_iter().find(|&s| s == name.trim()))
+                .collect::<Option<Vec<_>>>()
+        },
+    )
+    .unwrap_or(SECTIONS.to_vec());
+    let reps = sp_bench::setting("REPRO_SIM_REPS", "a positive decimal", |v| {
+        v.parse().ok().filter(|&r: &usize| r >= 1)
+    })
+    .unwrap_or(5);
+    let section_enabled = |name| sections.contains(&name);
     mode.banner(
+        &mut std::io::stdout(),
         "Engine benchmarks",
         "simulator + analysis wall time, allocations, and peak RSS",
-    );
+    )
+    .unwrap();
     // Smallest footprint first: VmHWM is monotonic, so the simulator's
     // RSS snapshot must be taken before the analysis instance exists.
     if section_enabled("sim") {
-        sim_section(mode);
+        sim_section(mode, reps);
         println!();
     }
     if section_enabled("faults") {
-        faults_section(mode);
+        faults_section(mode, reps);
         println!();
     }
     if section_enabled("repair") {

@@ -1,7 +1,9 @@
-//! Shared plumbing for the `repro` and `repro_bench` binaries.
+//! Shared plumbing for the `repro`, `repro_bench` and `check_bench`
+//! binaries.
 //!
-//! Both read their run mode from three environment variables, so the
-//! whole suite can be smoke-tested quickly or run at paper scale:
+//! `repro` and `repro_bench` read their run mode from three environment
+//! variables, so the whole suite can be smoke-tested quickly or run at
+//! paper scale:
 //!
 //! * `REPRO_QUICK=1` — shrink networks and trial counts (~seconds per
 //!   figure instead of minutes); `0` or unset runs at paper scale;
@@ -10,12 +12,17 @@
 //!   worker per core; never changes the reported numbers).
 //!
 //! A malformed value is an error, never a silent default: [`mode`]
-//! exits 2 with one stderr line naming the variable and its value.
+//! exits 2 with one stderr line naming the variable and its value, and
+//! [`setting`] does the same for each binary's own settings
+//! (`REPRO_SECTIONS`, `REPRO_SIM_REPS`, `CHECK_BENCH_TOL`).
 
 #![allow(
     clippy::disallowed_methods,
-    reason = "D2 allowlist: REPRO_QUICK, REPRO_SEED and SP_THREADS select the run mode"
+    reason = "D2 allowlist: REPRO_QUICK, REPRO_SEED and SP_THREADS select the run mode; \
+              setting() reads the benchmark binaries' own settings"
 )]
+
+use std::io::{self, Write};
 
 use sp_core::experiments::Fidelity;
 
@@ -35,10 +42,21 @@ pub struct Mode {
 /// one line naming the variable to stderr and exits 2, before anything
 /// reaches stdout.
 pub fn mode() -> Mode {
-    from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
+    from_env().unwrap_or_else(|e| reject(&e))
+}
+
+/// Reads one of a binary's own settings: `None` when `name` is unset,
+/// else the value `parse` makes of it. A value `parse` rejects prints
+/// one line naming the variable to stderr and exits 2, as [`mode`]
+/// does; `what` completes that line's "is not …".
+pub fn setting<T>(name: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    var(name).map(|v| parse(&v).unwrap_or_else(|| reject(&format!("{name}={v:?} is not {what}"))))
+}
+
+/// Exits 2 with `line` on stderr.
+fn reject(line: &str) -> ! {
+    eprintln!("{line}");
+    std::process::exit(2)
 }
 
 fn from_env() -> Result<Mode, String> {
@@ -103,15 +121,17 @@ impl Mode {
         }
     }
 
-    /// Prints the standard banner for a reproduction.
-    pub fn banner(&self, figure: &str, what: &str) {
-        println!("================================================================");
-        println!("Reproduction of {figure} — {what}");
-        println!(
+    /// Writes the standard banner for a reproduction to `out`.
+    pub fn banner(&self, out: &mut dyn Write, figure: &str, what: &str) -> io::Result<()> {
+        let rule = "================================================================";
+        writeln!(out, "{rule}")?;
+        writeln!(out, "Reproduction of {figure} — {what}")?;
+        writeln!(
+            out,
             "mode: {}  (set REPRO_QUICK=1 for a fast smoke run)",
             if self.quick { "quick" } else { "paper-scale" }
-        );
-        println!("================================================================\n");
+        )?;
+        writeln!(out, "{rule}\n")
     }
 }
 

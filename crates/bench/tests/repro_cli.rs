@@ -1,24 +1,42 @@
-//! The `repro` and `repro_bench` command lines: usage errors and
-//! malformed run-mode variables exit 2 with nothing on stdout. Every
-//! child starts with the run-mode variables removed, so the caller's
+//! The `repro`, `repro_bench` and `check_bench` command lines: usage
+//! errors and malformed variables exit 2 with nothing on stdout, and
+//! `repro` exits 0 when its reader goes away. Every child starts with
+//! the variables these binaries read removed, so the caller's
 //! environment cannot change what it sees.
 
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 const REPRO_BENCH: &str = env!("CARGO_BIN_EXE_repro_bench");
+const CHECK_BENCH: &str = env!("CARGO_BIN_EXE_check_bench");
 
-/// Runs `bin` with `args` and `vars`, every run-mode variable unset
-/// unless `vars` sets it.
-fn run(bin: &str, args: &[&str], vars: &[(&str, &str)]) -> Output {
+/// `bin` with `args` and `vars`, every variable the binaries read unset
+/// unless `vars` sets it. Reports go to a scratch directory, so a
+/// regression that runs a benchmark section cannot overwrite the
+/// checked-in baselines.
+fn command(bin: &str, args: &[&str], vars: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(bin);
     cmd.args(args);
-    for var in ["REPRO_QUICK", "REPRO_SEED", "SP_THREADS"] {
+    for var in [
+        "REPRO_QUICK",
+        "REPRO_SEED",
+        "SP_THREADS",
+        "REPRO_SECTIONS",
+        "REPRO_SIM_REPS",
+        "CHECK_BENCH_TOL",
+    ] {
         cmd.env_remove(var);
     }
+    cmd.env("REPRO_OUT", env!("CARGO_TARGET_TMPDIR"));
     cmd.envs(vars.iter().copied());
-    cmd.output().unwrap()
+    cmd
+}
+
+/// Runs `bin` to completion; see [`command`].
+fn run(bin: &str, args: &[&str], vars: &[(&str, &str)]) -> Output {
+    command(bin, args, vars).output().unwrap()
 }
 
 /// Asserts a usage-level failure: exit 2, empty stdout, and every
@@ -73,8 +91,9 @@ fn malformed_run_mode_variables_exit_2() {
         vars.push((var, value));
         let needle = format!("{var}=\"{value}\"");
         assert_rejected(&run(REPRO, &["rule2"], &vars), &[&needle]);
-        // With no section selected, a repro_bench that accepted the
-        // value would print its banner and exit 0 without benchmarking.
+        // `none` names no section, so a repro_bench that accepted the
+        // value would exit 2 naming REPRO_SECTIONS, not this variable,
+        // without benchmarking.
         vars.push(("REPRO_SECTIONS", "none"));
         assert_rejected(&run(REPRO_BENCH, &[], &vars), &[&needle]);
     }
@@ -96,4 +115,69 @@ fn valid_variables_run_the_figure_under_the_given_seed() {
         default_seed,
         quick(&[("REPRO_SEED", "7"), ("SP_THREADS", "0")])
     );
+}
+
+#[test]
+fn repro_exits_0_when_its_reader_goes_away() {
+    // Quick fig04 computes for a few hundred milliseconds between its
+    // banner and its body, so the body is written after the reader
+    // has gone.
+    let mut child = command(REPRO, &["fig04"], &[("REPRO_QUICK", "1")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    // The reader is dropped here, after the banner's first line.
+    assert!(first.starts_with("====="), "{first:?}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn unknown_or_empty_section_names_exit_2() {
+    for value in ["analyse", "", "sim,", "sim,,faults", "none"] {
+        let needle = format!("REPRO_SECTIONS=\"{value}\"");
+        let vars = [("REPRO_QUICK", "1"), ("REPRO_SECTIONS", value)];
+        assert_rejected(&run(REPRO_BENCH, &[], &vars), &[&needle]);
+    }
+    // CI's selection parses: the run gets as far as the next setting.
+    let vars = [("REPRO_SECTIONS", "overload"), ("REPRO_SIM_REPS", "0")];
+    assert_rejected(&run(REPRO_BENCH, &[], &vars), &["REPRO_SIM_REPS=\"0\""]);
+}
+
+#[test]
+fn sim_repetitions_must_be_a_positive_decimal() {
+    for value in ["0", "-1", "2.5", "five", ""] {
+        let needle = format!("REPRO_SIM_REPS=\"{value}\"");
+        // The quick sim section keeps a regression that ignores the
+        // bad value short.
+        let vars = [
+            ("REPRO_QUICK", "1"),
+            ("REPRO_SECTIONS", "sim"),
+            ("REPRO_SIM_REPS", value),
+        ];
+        assert_rejected(&run(REPRO_BENCH, &[], &vars), &[&needle]);
+    }
+}
+
+#[test]
+fn check_bench_tolerance_must_be_finite_and_non_negative() {
+    let baselines = concat!(env!("CARGO_MANIFEST_DIR"), "/../../repro_out");
+    let args = [baselines, baselines];
+    for value in ["abc", "", "-0.1", "inf", "NaN"] {
+        let needle = format!("CHECK_BENCH_TOL=\"{value}\"");
+        let vars = [("CHECK_BENCH_TOL", value)];
+        assert_rejected(&run(CHECK_BENCH, &args, &vars), &[&needle]);
+    }
+    // CI's tolerance is valid: the baselines pass against themselves.
+    let out = run(CHECK_BENCH, &args, &[("CHECK_BENCH_TOL", "0.25")]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("PASS"), "{stdout}");
 }

@@ -29,8 +29,9 @@
 //!   count of *redundant* query transmissions (copies that arrive over
 //!   cycle edges and are dropped) — the quantity behind the paper's
 //!   rule #4 ("minimize TTL") and the Appendix E caveat to rule #3 —
-//!   plus [`traverse::FloodScratch`], the allocation-free reusable
-//!   variant that powers the O(reach) analysis engine;
+//!   plus [`traverse::FloodScratch`], the same flood into reusable
+//!   buffers laid out by BFS position, which the O(reach) analysis
+//!   engine floods into once per source without allocating;
 //! * [`metrics`] — connected components, degree statistics, reach and
 //!   expected-path-length measurement (Figure 9, Appendix F);
 //! * [`partition`] — [`PartitionMonitor`], an incremental weighted

@@ -8,7 +8,7 @@
 //! submitter's component). A full BFS per observation would be
 //! O(V + E) with allocation; this monitor is a weighted union-find
 //! (union by size, path compression) with an *epoch-stamped lazy
-//! reset*, the same trick [`crate::traverse::FloodScratch`] uses:
+//! reset*:
 //!
 //! * between observations, node insertions and edge unions are
 //!   incremental (amortized near-O(1) each);

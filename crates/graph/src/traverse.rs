@@ -14,6 +14,14 @@
 //! predecessor tree (Section 4.1, Step 2); [`FloodResult`] exposes the
 //! tree and a deepest-first accumulation helper so response traffic can
 //! be charged to every intermediate hop in O(n).
+//!
+//! [`flood`] and [`message_counts`] allocate their per-node vectors on
+//! every call and are the oracle. [`FloodScratch`] computes the same
+//! flood into reusable buffers laid out by BFS position (the node, its
+//! parent's position, its copies sent and each depth level's end),
+//! keeping one `u32` per node for the reached flag and the copies
+//! received; it is what the analysis engine floods into once per
+//! source.
 
 use crate::graph::{Graph, NodeId};
 
@@ -53,9 +61,10 @@ impl FloodResult {
     }
 
     /// Whether `v` forwarded the query: it was reached with remaining
-    /// TTL (`depth < ttl`).
+    /// TTL (`depth < ttl`) and short of the depth cap that keeps depths
+    /// clear of [`UNREACHED`] (see [`flood`]).
     pub fn forwards(&self, v: NodeId) -> bool {
-        self.depth[v as usize] < self.ttl
+        self.depth[v as usize] < self.ttl.min(UNREACHED - 1)
     }
 
     /// Accumulates per-node values up the predecessor tree, deepest
@@ -146,18 +155,37 @@ pub struct MessageCounts {
     pub recv: Vec<u32>,
 }
 
-/// Reusable, allocation-free flood state: one BFS + message-count pass
-/// writes into epoch-stamped arrays instead of fresh vectors, so a
-/// sweep that floods from every source cluster allocates **nothing**
-/// per source after the first call.
+/// Bit 31 of a [`FloodScratch`] node slot: the node was reached. The
+/// low bits count the copies it received; they stay below the flag
+/// because a simple graph with fewer than 2³¹ nodes has every degree
+/// below 2³¹ − 1.
+const REACHED: u32 = 1 << 31;
+
+/// Reusable, allocation-free flood state laid out by BFS position: one
+/// BFS + message-count pass writes into buffers sized once per graph,
+/// so a sweep that floods from every source cluster allocates
+/// **nothing** per source after the first call.
 ///
-/// Compared to [`flood`] + [`message_counts`] (which this type matches
-/// exactly — see the equivalence tests), a scratch flood also exposes
-/// the *touched-node list* ([`FloodScratch::order`]): per-node outputs
-/// (`depth`, `sent`, `recv`, `parent`) are only valid at indices that
-/// appear in `order`, which is precisely the set with any nonzero
-/// count. Callers iterate `order` instead of `0..n`, turning O(n)
-/// per-source post-processing into O(reach).
+/// Position `k` is the `k`-th node reached ([`FloodScratch::order`];
+/// position 0 is the source). The BFS parent's position
+/// ([`FloodScratch::parents`]), the copies sent ([`FloodScratch::sent`])
+/// and the end of each depth level ([`FloodScratch::level_ends`]) are
+/// stored by position; only the copies received
+/// ([`FloodScratch::recv`]) are stored by node. Callers walk positions
+/// instead of `0..n`, which turns O(n) per-source post-processing into
+/// O(reach), and can index their own per-source records by position,
+/// so that charging a record to its parent moves through memory in
+/// order.
+///
+/// Each node keeps one `u32`: bit 31 says it was reached, and the low
+/// bits count the copies it received. The next flood zeroes the slots
+/// of the nodes this one reached, so nothing is stamped and nothing
+/// else is per node. Discovery has no branch: every
+/// transmission writes the neighbor and its parent position at
+/// `order[len]` and advances `len` only if the neighbor was new.
+///
+/// A scratch flood matches [`flood`] + [`message_counts`] exactly; see
+/// the equivalence tests.
 ///
 /// # Examples
 ///
@@ -171,21 +199,31 @@ pub struct MessageCounts {
 /// let mut scratch = FloodScratch::new();
 /// scratch.flood(&g, 0, 2);
 /// assert_eq!(scratch.order(), &[0, 1, 2]);
-/// assert_eq!(scratch.depth(2), 2);
+/// assert_eq!(scratch.parents(), &[0, 0, 1]); // positions, not nodes
+/// assert_eq!(scratch.level_ends(), &[1, 2, 3]); // node 2 is at depth 2
+/// assert_eq!(scratch.sent(), &[1, 1, 0]);
+/// assert_eq!(scratch.recv(2), 1);
 /// scratch.flood(&g, 2, 1); // reuses the same buffers
-/// assert_eq!(scratch.reach(), 2);
+/// assert_eq!(scratch.order(), &[2, 1]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FloodScratch {
-    /// Current epoch; a node's per-node slots are valid iff its stamp
-    /// matches.
-    epoch: u32,
-    stamp: Vec<u32>,
-    depth: Vec<u16>,
-    parent: Vec<NodeId>,
-    sent: Vec<u32>,
-    recv: Vec<u32>,
+    /// By node: `REACHED` plus the copies received. Nonzero exactly
+    /// at the nodes the last flood reached.
+    slot: Vec<u32>,
+    /// By position: the node. One entry longer than the graph, because
+    /// discovery writes at `order[len]` whether or not the neighbor is
+    /// new.
     order: Vec<NodeId>,
+    /// By position: the BFS parent's position (0 at the source). As
+    /// long as `order`, for the same reason.
+    parent: Vec<u32>,
+    /// By position: the query copies the node sent.
+    sent: Vec<u32>,
+    /// `level_end[d]` is one past the last position at depth `d`.
+    level_end: Vec<u32>,
+    /// Nodes reached: the valid prefix of the by-position arrays.
+    len: usize,
 }
 
 impl FloodScratch {
@@ -194,96 +232,96 @@ impl FloodScratch {
         Self::default()
     }
 
-    /// Starts a new flood epoch over `n` nodes, resizing buffers if the
-    /// graph grew and invalidating all per-node slots in O(1).
+    /// Starts a flood over `n` nodes: zeroes the slots the previous
+    /// flood set, grows the buffers if the graph grew, and places
+    /// `source` at position 0.
     fn begin(&mut self, n: usize, source: NodeId) {
         assert!((source as usize) < n, "source {source} out of range");
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.depth.resize(n, UNREACHED);
-            self.parent.resize(n, 0);
+        assert!(
+            n < REACHED as usize,
+            "{n} nodes: a copy count could reach the flag bit"
+        );
+        for &v in &self.order[..self.len] {
+            self.slot[v as usize] = 0;
+        }
+        self.level_end.clear();
+        if self.slot.len() < n {
+            self.slot.resize(n, 0);
+            self.order.resize(n + 1, 0);
+            self.parent.resize(n + 1, 0);
             self.sent.resize(n, 0);
-            self.recv.resize(n, 0);
-            // Reach is at most n, so reserving here keeps every later
-            // flood on this graph allocation-free.
-            self.order.clear();
-            self.order.reserve(n);
+            // Every level holds a node, so reserving here keeps every
+            // later flood on this graph allocation-free.
+            self.level_end.reserve(n);
         }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrapped: hard-reset stamps once every 2^32
-                // floods.
-                self.stamp.fill(0);
-                1
-            }
-        };
-        self.order.clear();
+        self.slot[source as usize] = REACHED;
+        self.order[0] = source;
+        self.parent[0] = 0;
+        self.len = 1;
     }
 
-    /// First touch of `v` this epoch: zero its slots.
-    #[inline]
-    fn touch(&mut self, v: NodeId) {
-        let vi = v as usize;
-        if self.stamp[vi] != self.epoch {
-            self.stamp[vi] = self.epoch;
-            self.depth[vi] = UNREACHED;
-            self.parent[vi] = v;
-            self.sent[vi] = 0;
-            self.recv[vi] = 0;
-        }
-    }
-
-    /// Floods a query from `source` with `ttl` over `g`, computing BFS
-    /// depths, predecessors, and per-node query-transmission counts
-    /// (including redundant copies over cycle edges) in a single pass.
+    /// Floods a query from `source` with `ttl` over `g`, computing the
+    /// BFS order, predecessors and depth levels and the per-node
+    /// query-transmission counts (including redundant copies over
+    /// cycle edges) in a single pass, one depth level at a time.
     ///
     /// Equivalent to [`flood`] followed by [`message_counts`], without
-    /// the three O(n) allocations per source.
+    /// the O(n) allocations per source.
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
+    /// Panics if `source` is out of range or `g` has 2³¹ nodes or more.
     pub fn flood(&mut self, g: &Graph, source: NodeId, ttl: u16) {
         self.begin(g.num_nodes(), source);
-        self.touch(source);
-        self.depth[source as usize] = 0;
-        self.order.push(source);
-        let mut head = 0usize;
-        while head < self.order.len() {
-            let v = self.order[head];
-            head += 1;
-            let vi = v as usize;
-            let d = self.depth[vi];
-            if d >= ttl || d + 1 == UNREACHED {
-                // TTL exhausted: the node processes but does not
-                // forward (second guard: keep depths clear of the
-                // UNREACHED sentinel on pathological graphs).
-                continue;
+        // Nodes shallower than `last` forward. The cap keeps depths
+        // clear of the UNREACHED sentinel on pathological graphs with
+        // eccentricity >= u16::MAX, as in `flood`.
+        let last = ttl.min(UNREACHED - 1);
+        let (slot, order, parent, sent) = (
+            &mut self.slot,
+            &mut self.order,
+            &mut self.parent,
+            &mut self.sent,
+        );
+        let mut len = 1;
+        let mut head = 0;
+        let mut depth = 0;
+        loop {
+            let end = len;
+            self.level_end.push(end as u32);
+            if depth == last {
+                // TTL exhausted: the level processes but does not
+                // forward.
+                sent[head..end].fill(0);
+                break;
             }
-            // Forwarding rules (Section 3.1): the source transmits to
-            // every neighbor, everyone else to every neighbor except
-            // its BFS parent.
-            let deg = g.degree(v) as u32;
-            self.sent[vi] = if v == source {
-                deg
-            } else {
-                deg.saturating_sub(1)
-            };
-            let parent = self.parent[vi];
-            for &u in g.neighbors(v) {
-                if v != source && u == parent {
-                    continue;
-                }
-                self.touch(u);
-                self.recv[u as usize] += 1;
-                if self.depth[u as usize] == UNREACHED {
-                    self.depth[u as usize] = d + 1;
-                    self.parent[u as usize] = v;
-                    self.order.push(u);
+            for k in head..end {
+                // Forwarding rules (Section 3.1): the source transmits
+                // to every neighbor, everyone else to every neighbor
+                // except its BFS parent. No node is numbered
+                // `NodeId::MAX`, so the source skips nothing.
+                let skip = if k == 0 {
+                    NodeId::MAX
+                } else {
+                    order[parent[k] as usize]
+                };
+                let nbrs = g.neighbors(order[k]);
+                sent[k] = nbrs.len() as u32 - u32::from(k != 0);
+                for &u in nbrs {
+                    let s = slot[u as usize];
+                    slot[u as usize] = (s | REACHED) + u32::from(u != skip);
+                    order[len] = u;
+                    parent[len] = k as u32;
+                    len += usize::from(s < REACHED);
                 }
             }
+            if len == end {
+                break;
+            }
+            head = end;
+            depth += 1;
         }
+        self.len = len;
     }
 
     /// Fills the scratch with the closed-form flood over the complete
@@ -293,64 +331,66 @@ impl FloodScratch {
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
+    /// Panics if `source` is out of range or `n >= 2³¹`.
     pub fn flood_complete(&mut self, n: usize, source: NodeId, ttl: u16) {
         self.begin(n, source);
-        self.touch(source);
-        self.depth[source as usize] = 0;
-        self.order.push(source);
-        if ttl >= 1 && n > 1 {
-            self.sent[source as usize] = (n - 1) as u32;
-            let echo = if ttl >= 2 { (n - 2) as u32 } else { 0 };
-            for v in 0..n as NodeId {
-                if v == source {
-                    continue;
-                }
-                self.touch(v);
-                self.depth[v as usize] = 1;
-                self.parent[v as usize] = source;
-                self.recv[v as usize] = 1 + echo;
-                self.sent[v as usize] = echo;
-                self.order.push(v);
-            }
+        self.level_end.push(1);
+        if ttl == 0 || n == 1 {
+            self.sent[0] = 0;
+            return;
         }
+        self.sent[0] = (n - 1) as u32;
+        let echo = if ttl >= 2 { (n - 2) as u32 } else { 0 };
+        for v in (0..n as NodeId).filter(|&v| v != source) {
+            let k = self.len;
+            self.slot[v as usize] = REACHED | (1 + echo);
+            self.order[k] = v;
+            self.parent[k] = 0;
+            self.sent[k] = echo;
+            self.len += 1;
+        }
+        self.level_end.push(n as u32);
     }
 
-    /// BFS visit order: exactly the reached nodes, in nondecreasing
-    /// depth, starting with the source. This is also the complete set
-    /// of nodes with valid (nonzero-able) `depth`/`sent`/`recv` slots.
+    /// BFS visit order, by position: exactly the reached nodes, in
+    /// nondecreasing depth, starting with the source.
     pub fn order(&self) -> &[NodeId] {
-        &self.order
+        &self.order[..self.len]
+    }
+
+    /// By position: the position of the node's BFS predecessor (the
+    /// neighbor the first copy arrived from), so the parent node of
+    /// position `k` is `order()[parents()[k]]`. The source, at
+    /// position 0, maps to itself; every other parent position is
+    /// smaller than its child's.
+    pub fn parents(&self) -> &[u32] {
+        &self.parent[..self.len]
+    }
+
+    /// By position: query messages the node sent (0 at the last depth
+    /// level, which does not forward).
+    pub fn sent(&self) -> &[u32] {
+        &self.sent[..self.len]
+    }
+
+    /// `level_ends()[d]` is one past the last position at depth `d`:
+    /// depth 0 is position 0 alone, depth `d > 0` holds positions
+    /// `level_ends()[d - 1]..level_ends()[d]`, and the last entry is
+    /// the reach. No level is empty.
+    pub fn level_ends(&self) -> &[u32] {
+        &self.level_end
     }
 
     /// Number of reached nodes (the paper's *reach*, incl. the source).
     pub fn reach(&self) -> usize {
-        self.order.len()
+        self.len
     }
 
-    /// Hop count of `v`. Only meaningful for nodes in [`Self::order`].
-    #[inline]
-    pub fn depth(&self, v: NodeId) -> u16 {
-        self.depth[v as usize]
-    }
-
-    /// BFS predecessor of `v`. Only meaningful for reached nodes.
-    #[inline]
-    pub fn parent(&self, v: NodeId) -> NodeId {
-        self.parent[v as usize]
-    }
-
-    /// Query messages sent by `v`. Only meaningful for reached nodes.
-    #[inline]
-    pub fn sent(&self, v: NodeId) -> u32 {
-        self.sent[v as usize]
-    }
-
-    /// Query messages received by `v` (first + redundant copies). Only
-    /// meaningful for reached nodes.
+    /// Query messages received by node `v` (first + redundant copies);
+    /// 0 for every node the flood did not reach.
     #[inline]
     pub fn recv(&self, v: NodeId) -> u32 {
-        self.recv[v as usize]
+        self.slot[v as usize] & !REACHED
     }
 }
 
@@ -514,52 +554,109 @@ mod tests {
         b.build()
     }
 
+    /// A graph whose node 4 has no edges, so a flood from it reaches
+    /// only itself at every TTL.
+    fn isolated_source() -> Graph {
+        let mut b = GraphBuilder::new(5);
+        for (a, c) in [(0, 1), (1, 2), (0, 2), (2, 3)] {
+            b.add_edge(a, c);
+        }
+        b.build()
+    }
+
+    /// Two components: a 5-cycle with a chord and a 4-cycle with a
+    /// chord. A flood from either never enters the other.
+    fn two_components() -> Graph {
+        let mut b = GraphBuilder::new(9);
+        for (a, c) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)] {
+            b.add_edge(a, c);
+        }
+        for (a, c) in [(5, 6), (6, 7), (7, 8), (8, 5), (6, 8)] {
+            b.add_edge(a, c);
+        }
+        b.build()
+    }
+
+    /// Asserts that `scratch`, just flooded over `g` from `src` with
+    /// `ttl`, equals [`flood`] + [`message_counts`] at every BFS
+    /// position (node, depth from the level ends, parent, sent and
+    /// recv), and that no unreached node received a copy.
+    fn assert_matches_flood(scratch: &FloodScratch, g: &Graph, src: NodeId, ttl: u16) {
+        let f = flood(g, src, ttl);
+        let mc = message_counts(g, &f);
+        let at = format!("src={src} ttl={ttl}");
+        assert_eq!(scratch.order(), &f.order[..], "order {at}");
+        assert_eq!(scratch.reach(), f.reach(), "reach {at}");
+        let ends = scratch.level_ends();
+        assert_eq!(ends.first(), Some(&1), "depth 0 is the source {at}");
+        assert!(ends.windows(2).all(|w| w[0] < w[1]), "empty level {at}");
+        assert_eq!(ends.last().map(|&e| e as usize), Some(f.reach()), "{at}");
+        let mut depth = 0;
+        for (k, &v) in scratch.order().iter().enumerate() {
+            while k >= ends[depth] as usize {
+                depth += 1;
+            }
+            let vu = v as usize;
+            let parent = scratch.order()[scratch.parents()[k] as usize];
+            assert_eq!(depth as u16, f.depth[vu], "depth of {v} {at}");
+            assert_eq!(parent, f.parent[vu], "parent of {v} {at}");
+            assert_eq!(scratch.sent()[k], mc.sent[vu], "sent by {v} {at}");
+            assert_eq!(scratch.recv(v), mc.recv[vu], "recv at {v} {at}");
+        }
+        // Conversely every nonzero count is on a reached node, so
+        // walking positions loses nothing.
+        for v in g.nodes().filter(|&v| !f.is_reached(v)) {
+            assert_eq!(mc.sent[v as usize], 0);
+            assert_eq!(mc.recv[v as usize], 0);
+            assert_eq!(scratch.recv(v), 0, "recv at unreached {v} {at}");
+        }
+    }
+
     #[test]
     fn scratch_matches_allocating_flood_across_sources_and_ttls() {
+        let mut graphs: Vec<Graph> = [3u64, 17, 99]
+            .iter()
+            .map(|&seed| scrambled_graph(60, 140, seed))
+            .collect();
+        graphs.extend([isolated_source(), two_components()]);
+        // The scratch is deliberately reused across every (graph,
+        // source, ttl) combination.
         let mut scratch = FloodScratch::new();
-        for seed in [3u64, 17, 99] {
-            let g = scrambled_graph(60, 140, seed);
+        for g in &graphs {
             for ttl in [0u16, 1, 2, 4, 9] {
-                for src in 0..g.num_nodes() as NodeId {
-                    let f = flood(&g, src, ttl);
-                    let mc = message_counts(&g, &f);
-                    // The scratch is deliberately reused across every
-                    // (graph, source, ttl) combination.
-                    scratch.flood(&g, src, ttl);
-                    assert_eq!(scratch.order(), &f.order[..], "order src={src} ttl={ttl}");
-                    assert_eq!(scratch.reach(), f.reach());
-                    for &v in &f.order {
-                        assert_eq!(scratch.depth(v), f.depth[v as usize]);
-                        assert_eq!(scratch.parent(v), f.parent[v as usize]);
-                        assert_eq!(scratch.sent(v), mc.sent[v as usize]);
-                        assert_eq!(scratch.recv(v), mc.recv[v as usize]);
-                    }
-                    // Conversely every nonzero count is on a reached
-                    // node, so iterating `order` loses nothing.
-                    for v in 0..g.num_nodes() as NodeId {
-                        if !f.is_reached(v) {
-                            assert_eq!(mc.sent[v as usize], 0);
-                            assert_eq!(mc.recv[v as usize], 0);
-                        }
-                    }
+                for src in g.nodes() {
+                    scratch.flood(g, src, ttl);
+                    assert_matches_flood(&scratch, g, src, ttl);
                 }
             }
         }
+        scratch.flood(&isolated_source(), 4, 9);
+        assert_eq!(scratch.order(), &[4]);
+        assert_eq!(scratch.level_ends(), &[1]);
+        assert_eq!(scratch.sent(), &[0]);
+        scratch.flood(&two_components(), 5, 9);
+        assert!(scratch.order().iter().all(|&v| v >= 5));
     }
 
     #[test]
     fn scratch_grows_with_larger_graphs() {
         let mut scratch = FloodScratch::new();
         scratch.flood(&path4(), 0, 3);
-        assert_eq!(scratch.reach(), 4);
+        assert_matches_flood(&scratch, &path4(), 0, 3);
         let big = scrambled_graph(100, 300, 11);
         scratch.flood(&big, 42, 5);
+        assert_matches_flood(&scratch, &big, 42, 5);
         assert!(scratch.reach() > 4);
-        // Shrinking back down must not leak state from the big epoch.
+        // Shrinking back down must not leak state from the big flood:
+        // every slot it set is zero again.
         scratch.flood(&path4(), 3, 1);
+        assert_matches_flood(&scratch, &path4(), 3, 1);
         assert_eq!(scratch.order(), &[3, 2]);
-        assert_eq!(scratch.sent(3), 1);
+        assert_eq!(scratch.sent(), &[1, 0]);
         assert_eq!(scratch.recv(2), 1);
+        assert!((4..100).all(|v| scratch.recv(v) == 0));
+        scratch.flood(&big, 42, 5);
+        assert_matches_flood(&scratch, &big, 42, 5);
     }
 
     #[test]
@@ -573,15 +670,47 @@ mod tests {
         let mut explicit = FloodScratch::new();
         let mut closed = FloodScratch::new();
         for ttl in 0u16..4 {
-            explicit.flood(&g, 1, ttl);
-            closed.flood_complete(3, 1, ttl);
-            assert_eq!(explicit.reach(), closed.reach(), "ttl {ttl}");
-            for &v in explicit.order() {
-                assert_eq!(explicit.depth(v), closed.depth(v));
-                assert_eq!(explicit.sent(v), closed.sent(v));
-                assert_eq!(explicit.recv(v), closed.recv(v));
+            for src in g.nodes() {
+                explicit.flood(&g, src, ttl);
+                closed.flood_complete(3, src, ttl);
+                assert_matches_flood(&explicit, &g, src, ttl);
+                let at = format!("src={src} ttl={ttl}");
+                assert_eq!(explicit.order(), closed.order(), "{at}");
+                assert_eq!(explicit.parents(), closed.parents(), "{at}");
+                assert_eq!(explicit.level_ends(), closed.level_ends(), "{at}");
+                assert_eq!(explicit.sent(), closed.sent(), "{at}");
+                for v in g.nodes() {
+                    assert_eq!(explicit.recv(v), closed.recv(v), "{at}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn scratch_depth_stops_short_of_the_unreached_sentinel() {
+        // A path longer than u16::MAX: at depth u16::MAX - 1 a node
+        // stops forwarding whatever the TTL, so depths never reach
+        // the UNREACHED sentinel.
+        let n = 65_537;
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as NodeId {
+            b.add_edge(v - 1, v);
+        }
+        let g = b.build();
+        let mut scratch = FloodScratch::new();
+        scratch.flood(&g, 0, u16::MAX);
+        assert_matches_flood(&scratch, &g, 0, u16::MAX);
+        let last = usize::from(UNREACHED - 1);
+        assert_eq!(scratch.reach(), last + 1);
+        assert_eq!(scratch.level_ends().len(), last + 1);
+        assert_eq!(scratch.sent()[last], 0);
+        assert_eq!(scratch.recv(last as NodeId + 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "flag bit")]
+    fn scratch_rejects_graphs_whose_counts_could_reach_the_flag() {
+        FloodScratch::new().flood_complete(1 << 31, 0, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sp_graph::generate::{erdos_renyi, plod, random_regular, PlodConfig};
 use sp_graph::metrics::{components, is_connected, reach};
 use sp_graph::traverse::{flood, message_counts, UNREACHED};
-use sp_graph::{Graph, GraphBuilder, NodeId};
+use sp_graph::{FloodScratch, Graph, GraphBuilder, NodeId};
 use sp_stats::SpRng;
 
 /// Builds an arbitrary simple graph from a node count and edge seeds.
@@ -137,5 +137,39 @@ proptest! {
         let reached_total: f64 = f.order.iter().map(|&v| vals[v as usize]).sum();
         f.accumulate_up(&mut vals);
         prop_assert!((vals[src as usize] - reached_total).abs() < 1e-9);
+    }
+
+    /// One scratch reused across a sequence of (graph, source, TTL)
+    /// cases always equals the allocating flood: the same node, depth,
+    /// parent and sent count at every BFS position, and the same recv
+    /// count at every node.
+    #[test]
+    fn reused_scratch_equals_allocating_flood(
+        cases in prop::collection::vec((arb_graph(), 0u32..40, 0u16..10), 1..6)
+    ) {
+        let mut scratch = FloodScratch::new();
+        for (g, src, ttl) in cases {
+            let src = src % g.num_nodes() as u32;
+            scratch.flood(&g, src, ttl);
+            let f = flood(&g, src, ttl);
+            let mc = message_counts(&g, &f);
+            prop_assert_eq!(scratch.order(), &f.order[..]);
+            let ends = scratch.level_ends();
+            prop_assert!(ends.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(ends.last().map(|&e| e as usize), Some(f.reach()));
+            let mut depth = 0;
+            for (k, &v) in f.order.iter().enumerate() {
+                while k >= ends[depth] as usize {
+                    depth += 1;
+                }
+                let vu = v as usize;
+                prop_assert_eq!(depth as u16, f.depth[vu]);
+                prop_assert_eq!(f.order[scratch.parents()[k] as usize], f.parent[vu]);
+                prop_assert_eq!(scratch.sent()[k], mc.sent[vu]);
+            }
+            for v in g.nodes() {
+                prop_assert_eq!(scratch.recv(v), mc.recv[v as usize]);
+            }
+        }
     }
 }

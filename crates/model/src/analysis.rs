@@ -44,18 +44,18 @@
 //! provided (selected by [`AnalysisOptions::engine`]):
 //!
 //! * [`Engine::Fast`] (default) — floods into a reusable
-//!   [`sp_graph::FloodScratch`] (zero per-source heap allocation) and
-//!   charges each source in two passes over the flood's **touched
-//!   list**: a forward pass in BFS order (propagation, index probe, the
-//!   cluster's own response, results and EPL) and a reverse pass,
-//!   deepest first (responses out and in, then the subtree sum into the
-//!   parent). Each visit reads one per-cluster table record and writes
-//!   one accumulator record, making one source O(reach + local edges)
-//!   instead of O(n). The source loop is split into a **fixed number
-//!   of shards** ([`AnalysisOptions::shards`], independent of the
-//!   thread count) that are processed by up to
-//!   [`AnalysisOptions::threads`] scoped worker threads, each with its
-//!   own scratch and accumulators. Shard accumulators are merged in
+//!   [`sp_graph::FloodScratch`] laid out by BFS position (zero
+//!   per-source heap allocation) and charges each source in two passes
+//!   over the **reached positions**: a forward pass in BFS order
+//!   (propagation, index probe, the cluster's own response, results and
+//!   EPL) and a reverse pass, deepest first (responses out and in, then
+//!   the subtree sum into the parent's position). Each visit reads one
+//!   per-cluster table record and writes one accumulator record, making
+//!   one source O(reach + local edges) instead of O(n). The source loop
+//!   is split into a **fixed number of shards**
+//!   ([`AnalysisOptions::shards`], independent of the thread count)
+//!   that are processed by up to [`AnalysisOptions::threads`] scoped
+//!   worker threads, each with its own scratch and accumulators. Shard accumulators are merged in
 //!   shard order, so the result is **bitwise identical for any thread
 //!   count**; changing the shard count only reassociates
 //!   floating-point sums (≤ 1e-12 relative).
@@ -277,7 +277,7 @@ impl QueryCharges {
 }
 
 /// Reusable per-worker buffers: the flood scratch plus one subtree
-/// response record per cluster. Allocated once per worker thread,
+/// response record per BFS position. Allocated once per worker thread,
 /// reused for every source — the flood path performs **zero heap
 /// allocation per source**.
 struct WorkerScratch {
@@ -295,15 +295,18 @@ impl WorkerScratch {
 }
 
 /// Charges one shard of sources into `acc` using the allocation-free
-/// scratch flood, in two passes over each flood's touched list.
+/// scratch flood, in two passes over each flood's BFS positions.
 ///
-/// The forward pass, in BFS order, charges query propagation and the
-/// index probe, seeds the cluster's subtree record with its own
-/// response, and adds the result and EPL terms. The reverse pass,
-/// deepest first, finds each subtree record complete (every descendant
-/// comes later in BFS order and has already added into it), charges the
-/// cluster's response out and in, and adds the record into its
-/// parent's. Every accumulator index receives its additions in the
+/// The forward pass, one depth level at a time, charges query
+/// propagation and the index probe, seeds the position's subtree record
+/// with the cluster's own response, and adds the result and EPL terms.
+/// The reverse pass, deepest first, finds each subtree record complete
+/// (every descendant sits at a later position and has already added
+/// into it), charges the cluster's response out and in, and adds the
+/// record into its parent's. Subtree records are indexed by position,
+/// so both passes walk them in order; a visit reaches memory at random
+/// only for the cluster's table row, its accumulator and its recv
+/// count. Every accumulator index receives its additions in the
 /// Reference engine's order, so a single-shard run is bitwise identical
 /// to it.
 fn charge_shard(
@@ -326,6 +329,7 @@ fn charge_shard(
         let iu = i as usize;
         inst.topology.flood_into(&mut ws.flood, i, ttl);
         let fs = &ws.flood;
+        let (order, parents, sent) = (fs.order(), fs.parents(), fs.sent());
         let sub = &mut ws.sub;
         let src = &t[iu];
         let num_clients = inst.clusters[iu].clients.len() as f64;
@@ -336,44 +340,49 @@ fn charge_shard(
 
         // Forward: query propagation, index probe, own response,
         // results and EPL. O(reach), not O(n): a cluster with zero sent
-        // and received copies was not reached, contributes nothing, and
-        // is not on the touched list. The result total starts at 0.0
-        // where the Reference's `Iterator::sum` starts at -0.0; the
-        // first term, the source's own E[N_T] ≥ 0, makes them equal.
+        // and received copies was not reached and contributes nothing.
+        // The result total starts at 0.0 where the Reference's
+        // `Iterator::sum` starts at -0.0; the first term, the source's
+        // own E[N_T] ≥ 0, makes them equal.
         let mut total_results = 0.0;
-        for &v in fs.order() {
-            let vu = v as usize;
-            let c = &t[vu];
-            let a = &mut acc.sp[vu];
-            let s = fs.sent(v) as f64;
-            if s > 0.0 {
-                a.bytes_out += w_all * s * qbytes;
-                a.units += w_all * s * (send_q + c.mux);
+        let mut start = 0;
+        for (depth, &end) in fs.level_ends().iter().enumerate() {
+            for k in start..end as usize {
+                let v = order[k];
+                let vu = v as usize;
+                let c = &t[vu];
+                let a = &mut acc.sp[vu];
+                let s = sent[k] as f64;
+                if s > 0.0 {
+                    a.bytes_out += w_all * s * qbytes;
+                    a.units += w_all * s * (send_q + c.mux);
+                }
+                let r = fs.recv(v) as f64;
+                if r > 0.0 {
+                    a.bytes_in += w_all * r * qbytes;
+                    a.units += w_all * r * (recv_q + c.mux);
+                }
+                a.units += w_all * cm.process_query_units(c.n_results);
+                // Assigned, not added: this overwrites the previous
+                // source's sum in every slot the reverse pass reads, so
+                // nothing is cleared between sources.
+                sub[k] = c.resp;
+                total_results += c.n_results;
+                if k != 0 {
+                    acc.epl_num += src.users * c.resp.msgs * depth as f64;
+                    acc.epl_den += src.users * c.resp.msgs;
+                }
             }
-            let r = fs.recv(v) as f64;
-            if r > 0.0 {
-                a.bytes_in += w_all * r * qbytes;
-                a.units += w_all * r * (recv_q + c.mux);
-            }
-            a.units += w_all * cm.process_query_units(c.n_results);
-            // Assigned, not added: this overwrites the previous source's
-            // sum in every slot the reverse pass reads, so nothing is
-            // cleared between sources.
-            sub[vu] = c.resp;
-            total_results += c.n_results;
-            if v != i {
-                acc.epl_num += src.users * c.resp.msgs * fs.depth(v) as f64;
-                acc.epl_den += src.users * c.resp.msgs;
-            }
+            start = end as usize;
         }
 
         // Reverse: responses up the predecessor tree.
-        for &v in fs.order().iter().rev() {
-            let vu = v as usize;
+        for k in (0..order.len()).rev() {
+            let vu = order[k] as usize;
             let c = &t[vu];
             let a = &mut acc.sp[vu];
-            let up = sub[vu];
-            if v != i {
+            let up = sub[k];
+            if k != 0 {
                 // v forwards its whole subtree's responses to its
                 // parent (incl. its own response).
                 a.bytes_out += w_all * up.bytes;
@@ -386,16 +395,16 @@ fn charge_shard(
                 a.units +=
                     w_all * ((up.recv_units - c.resp.recv_units) + c.mux * (up.msgs - c.resp.msgs));
             }
-            if v != i {
-                sub[fs.parent(v) as usize] += up;
+            if k != 0 {
+                sub[parents[k] as usize] += up;
             }
         }
 
-        // Cluster-local legs for client-submitted queries. sub[i] is
-        // now the whole reach's expected response (own cluster
-        // included).
+        // Cluster-local legs for client-submitted queries. sub[0], the
+        // source's record, is now the whole reach's expected response
+        // (own cluster included).
         if num_clients > 0.0 {
-            let all = sub[iu];
+            let all = sub[0];
             let cw = qr * src_weight; // per client
             let cl = &mut acc.cl[iu];
             cl.bytes_out += cw * qbytes;

@@ -136,8 +136,8 @@ impl Topology {
 
     /// Allocation-free variant of [`Topology::flood`]: floods into a
     /// reusable [`FloodScratch`] (closed form for the symbolic complete
-    /// topology). Produces exactly the same depths, parents, and
-    /// message counts.
+    /// topology). Produces exactly the same visit order, depths,
+    /// parents and message counts, laid out by BFS position.
     pub fn flood_into(&self, scratch: &mut FloodScratch, src: NodeId, ttl: u16) {
         match self {
             Topology::Explicit(g) => scratch.flood(g, src, ttl),
