@@ -22,7 +22,10 @@
 //! counts are checked only between runs of the same mode.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+use sp_bench::Console;
 
 /// One parsed flat-JSON benchmark report.
 #[derive(Debug, Default)]
@@ -244,15 +247,22 @@ fn check_rule(rule: &Rule, baseline: f64, fresh: f64, tol: f64) -> Result<String
 }
 
 /// Compares one report pair; returns the number of failures.
-fn check_report(name: &str, baseline: &Report, fresh: &Report, tol: f64) -> u32 {
+fn check_report(
+    out: &mut dyn Write,
+    name: &str,
+    baseline: &Report,
+    fresh: &Report,
+    tol: f64,
+) -> io::Result<u32> {
     let b_mode = baseline.strings.get("mode");
     let f_mode = fresh.strings.get("mode");
     let same_mode = b_mode == f_mode;
     if !same_mode {
-        println!(
+        writeln!(
+            out,
             "{name}: baseline mode {:?} vs fresh mode {:?} — comparing mode-independent metrics only",
             b_mode, f_mode
-        );
+        )?;
     }
     // `sim_*` covers both the plain churn workload and the fault-path
     // crash-storm workload (`sim_crash_storm_faults`): both report the
@@ -265,8 +275,8 @@ fn check_report(name: &str, baseline: &Report, fresh: &Report, tol: f64) -> u32 
         b if b.starts_with("scale_") => SCALE_RULES,
         b if b.starts_with("overload_") => OVERLOAD_RULES,
         other => {
-            println!("{name}: FAIL unknown bench id {other:?}");
-            return 1;
+            writeln!(out, "{name}: FAIL unknown bench id {other:?}")?;
+            return Ok(1);
         }
     };
     let mut failures = 0;
@@ -281,25 +291,30 @@ fn check_report(name: &str, baseline: &Report, fresh: &Report, tol: f64) -> u32 
             // A baseline generated before a metric existed should not
             // fail the gate; the field starts being enforced when the
             // baseline is regenerated.
-            println!("{name}: SKIP {} (missing on one side)", rule.field);
+            writeln!(out, "{name}: SKIP {} (missing on one side)", rule.field)?;
             continue;
         };
         match check_rule(rule, b, f, tol) {
-            Ok(line) => println!("{name}: OK   {line}"),
+            Ok(line) => writeln!(out, "{name}: OK   {line}")?,
             Err(line) => {
-                println!("{name}: FAIL {line}");
+                writeln!(out, "{name}: FAIL {line}")?;
                 failures += 1;
             }
         }
     }
-    failures += check_invariants(name, &bench_id, fresh);
-    failures
+    failures += check_invariants(out, name, &bench_id, fresh)?;
+    Ok(failures)
 }
 
 /// Within-report invariants on the *fresh* run — absolute bars that
 /// hold regardless of the baseline, dispatched on the fresh machine's
 /// own `cores` field where the right bound is machine-dependent.
-fn check_invariants(name: &str, bench_id: &str, fresh: &Report) -> u32 {
+fn check_invariants(
+    out: &mut dyn Write,
+    name: &str,
+    bench_id: &str,
+    fresh: &Report,
+) -> io::Result<u32> {
     let mut failures = 0;
     if bench_id.starts_with("scale_") {
         // The tentpole scaling bar: on a ≥ 8-core machine 8 shards must
@@ -313,13 +328,15 @@ fn check_invariants(name: &str, bench_id: &str, fresh: &Report) -> u32 {
             let cores = fresh.numbers.get("cores").copied().unwrap_or(1.0);
             let floor = if cores >= 8.0 { 3.0 } else { 0.6 };
             if speedup >= floor {
-                println!(
+                writeln!(
+                    out,
                     "{name}: OK   speedup_8shard {speedup} clears the {cores}-core floor {floor}"
-                );
+                )?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "{name}: FAIL speedup_8shard {speedup} below the {cores}-core floor {floor}"
-                );
+                )?;
                 failures += 1;
             }
         }
@@ -334,9 +351,15 @@ fn check_invariants(name: &str, bench_id: &str, fresh: &Report) -> u32 {
             fresh.numbers.get("controlled_p99_bound_s"),
         ) {
             if p99 <= bound {
-                println!("{name}: OK   controlled_p99_s {p99} within the drain bound {bound}");
+                writeln!(
+                    out,
+                    "{name}: OK   controlled_p99_s {p99} within the drain bound {bound}"
+                )?;
             } else {
-                println!("{name}: FAIL controlled_p99_s {p99} exceeds the drain bound {bound}");
+                writeln!(
+                    out,
+                    "{name}: FAIL controlled_p99_s {p99} exceeds the drain bound {bound}"
+                )?;
                 failures += 1;
             }
         }
@@ -350,14 +373,14 @@ fn check_invariants(name: &str, bench_id: &str, fresh: &Report) -> u32 {
             fresh.numbers.get("fast_wall_s"),
         ) {
             if multi <= one * (1.0 + THREAD_SLACK) {
-                println!("{name}: OK   fast_wall_s {multi} vs single-thread {one} (slack {THREAD_SLACK})");
+                writeln!(out, "{name}: OK   fast_wall_s {multi} vs single-thread {one} (slack {THREAD_SLACK})")?;
             } else {
-                println!("{name}: FAIL multi-thread wall {multi} slower than single-thread {one} (slack {THREAD_SLACK})");
+                writeln!(out, "{name}: FAIL multi-thread wall {multi} slower than single-thread {one} (slack {THREAD_SLACK})")?;
                 failures += 1;
             }
         }
     }
-    failures
+    Ok(failures)
 }
 
 fn main() -> ExitCode {
@@ -368,7 +391,23 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let baseline_dir = args.next().unwrap_or_else(|| "repro_out".to_string());
     let fresh_dir = args.next().unwrap_or_else(|| "repro_fresh".to_string());
+    // A reader that goes away drops the remaining lines, never the
+    // verdict: the exit code comes from the comparison alone.
+    let mut out = Console::stdout();
+    let verdict = gate(&mut out, &baseline_dir, &fresh_dir, tol);
+    match verdict.and_then(|pass| out.flush().map(|()| pass)) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("check_bench: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// Compares every report pair, one line per check; returns whether
+/// the gate passes.
+fn gate(out: &mut dyn Write, baseline_dir: &str, fresh_dir: &str, tol: f64) -> io::Result<bool> {
     let mut failures = 0;
     let mut compared = 0;
     for name in [
@@ -382,38 +421,51 @@ fn main() -> ExitCode {
         let b_path = format!("{baseline_dir}/{name}");
         let f_path = format!("{fresh_dir}/{name}");
         let Ok(b_text) = std::fs::read_to_string(&b_path) else {
-            println!("{name}: SKIP (no baseline at {b_path})");
+            writeln!(out, "{name}: SKIP (no baseline at {b_path})")?;
             continue;
         };
         let Ok(f_text) = std::fs::read_to_string(&f_path) else {
-            println!("{name}: FAIL (baseline exists but no fresh report at {f_path})");
+            writeln!(
+                out,
+                "{name}: FAIL (baseline exists but no fresh report at {f_path})"
+            )?;
             failures += 1;
             continue;
         };
         compared += 1;
         failures += check_report(
+            out,
             name,
             &parse_flat_json(&b_text),
             &parse_flat_json(&f_text),
             tol,
-        );
+        )?;
     }
     if compared == 0 {
-        println!("check_bench: FAIL — no benchmark reports compared");
-        return ExitCode::FAILURE;
+        writeln!(out, "check_bench: FAIL — no benchmark reports compared")?;
+        return Ok(false);
     }
     if failures > 0 {
-        println!("check_bench: FAIL ({failures} regressed metrics)");
-        ExitCode::FAILURE
+        writeln!(out, "check_bench: FAIL ({failures} regressed metrics)")?;
+        Ok(false)
     } else {
-        println!("check_bench: PASS ({compared} reports within tolerance {tol})");
-        ExitCode::SUCCESS
+        writeln!(
+            out,
+            "check_bench: PASS ({compared} reports within tolerance {tol})"
+        )?;
+        Ok(true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The failures [`check_report`] counts at the default tolerance,
+    /// its lines discarded.
+    fn failures(name: &str, baseline: &Report, fresh: &Report) -> u32 {
+        check_report(&mut io::sink(), name, baseline, fresh, 0.25).unwrap()
+    }
 
     const SIM_PAPER: &str = r#"{
   "bench": "sim_standard_churn_flood",
@@ -454,9 +506,9 @@ mod tests {
         // 10× slower wall: caught even though the ratio held.
         let fresh =
             parse_flat_json(&SIM_PAPER.replace("\"fast_wall_s\": 1.9", "\"fast_wall_s\": 19.0"));
-        assert_eq!(check_report("sim", &base, &fresh, 0.25), 1);
+        assert_eq!(failures("sim", &base, &fresh), 1);
         // Identical run: clean.
-        assert_eq!(check_report("sim", &base, &base, 0.25), 0);
+        assert_eq!(failures("sim", &base, &base), 0);
     }
 
     #[test]
@@ -465,21 +517,21 @@ mod tests {
         // Quick-mode wall times and event counts differ wildly from
         // the paper baseline; only the speedup ratio is compared.
         let ok = parse_flat_json(&sim_quick(1.9));
-        assert_eq!(check_report("sim", &base, &ok, 0.25), 0);
+        assert_eq!(failures("sim", &base, &ok), 0);
         let regressed = parse_flat_json(&sim_quick(1.2));
-        assert_eq!(check_report("sim", &base, &regressed, 0.25), 1);
+        assert_eq!(failures("sim", &base, &regressed), 1);
     }
 
     #[test]
     fn fault_reports_use_sim_rules() {
         let storm = SIM_PAPER.replace("sim_standard_churn_flood", "sim_crash_storm_faults");
         let base = parse_flat_json(&storm);
-        assert_eq!(check_report("faults", &base, &base, 0.25), 0);
+        assert_eq!(failures("faults", &base, &base), 0);
         let regressed = parse_flat_json(&storm.replace(
             "\"speedup_vs_reference\": 2.15",
             "\"speedup_vs_reference\": 1.0",
         ));
-        assert_eq!(check_report("faults", &base, &regressed, 0.25), 1);
+        assert_eq!(failures("faults", &base, &regressed), 1);
     }
 
     #[test]
@@ -522,17 +574,17 @@ mod tests {
         // Single-core machine: only the coordination-overhead bound
         // (≥ 0.6×) applies — 8 shards cannot beat 1 core.
         let ok1 = scale_report(1, 0.92);
-        assert_eq!(check_report("scale", &ok1, &ok1, 0.25), 0);
+        assert_eq!(failures("scale", &ok1, &ok1), 0);
         let bad1 = scale_report(1, 0.5);
-        assert_eq!(check_report("scale", &bad1, &bad1, 0.25), 1);
+        assert_eq!(failures("scale", &bad1, &bad1), 1);
         // ≥ 8 cores: the tentpole ≥ 3× bar is enforced.
         let ok8 = scale_report(8, 4.1);
-        assert_eq!(check_report("scale", &ok8, &ok8, 0.25), 0);
+        assert_eq!(failures("scale", &ok8, &ok8), 0);
         let bad8 = scale_report(8, 2.0);
-        assert_eq!(check_report("scale", &bad8, &bad8, 0.25), 1);
+        assert_eq!(failures("scale", &bad8, &bad8), 1);
         // And the relative comparison still applies on top: a large
         // drop that clears the floor fails against the baseline.
-        assert_eq!(check_report("scale", &ok8, &scale_report(8, 3.0), 0.25), 1);
+        assert_eq!(failures("scale", &ok8, &scale_report(8, 3.0)), 1);
     }
 
     const ANALYZE_SWEEP: &str = r#"{
@@ -548,7 +600,7 @@ mod tests {
     #[test]
     fn analyze_multi_thread_must_not_be_slower_than_single() {
         let base = parse_flat_json(ANALYZE_SWEEP);
-        assert_eq!(check_report("analyze", &base, &base, 0.25), 0);
+        assert_eq!(failures("analyze", &base, &base), 0);
         // The ROADMAP item 2 regression: 4.77 s multi vs 4.18 s single
         // sits inside the 25 % cross-run tolerance, so a self-compare
         // (all relative rules pass) proves the within-report invariant
@@ -556,13 +608,13 @@ mod tests {
         let regressed = parse_flat_json(
             &ANALYZE_SWEEP.replace("\"fast_wall_s\": 2.3", "\"fast_wall_s\": 4.77"),
         );
-        assert_eq!(check_report("analyze", &regressed, &regressed, 0.25), 1);
+        assert_eq!(failures("analyze", &regressed, &regressed), 1);
         // Equal walls (a 1-core machine resolves both budgets to one
         // worker) are fine.
         let one_core = parse_flat_json(
             &ANALYZE_SWEEP.replace("\"fast_wall_s\": 2.3", "\"fast_wall_s\": 4.18"),
         );
-        assert_eq!(check_report("analyze", &one_core, &one_core, 0.25), 0);
+        assert_eq!(failures("analyze", &one_core, &one_core), 0);
     }
 
     const OVERLOAD_PAPER: &str = r#"{
@@ -577,7 +629,7 @@ mod tests {
     #[test]
     fn overload_reports_use_overload_rules() {
         let base = parse_flat_json(OVERLOAD_PAPER);
-        assert_eq!(check_report("overload", &base, &base, 0.25), 0);
+        assert_eq!(failures("overload", &base, &base), 0);
         // 0.85 accounting is within 25 % of the baseline, but below the
         // ≥ 0.9 acceptance floor: the relative tolerance must not
         // rescue it.
@@ -585,14 +637,14 @@ mod tests {
             "\"accounted_fraction\": 0.991",
             "\"accounted_fraction\": 0.85",
         ));
-        assert_eq!(check_report("overload", &base, &leaky, 0.25), 1);
+        assert_eq!(failures("overload", &base, &leaky), 1);
         // A vanished separation from the uncontrolled baseline fails
         // the divergence floor.
         let converged = parse_flat_json(&OVERLOAD_PAPER.replace(
             "\"p99_divergence_ratio\": 16.0",
             "\"p99_divergence_ratio\": 1.1",
         ));
-        assert_eq!(check_report("overload", &base, &converged, 0.25), 1);
+        assert_eq!(failures("overload", &base, &converged), 1);
     }
 
     #[test]
@@ -602,7 +654,7 @@ mod tests {
         let over = parse_flat_json(
             &OVERLOAD_PAPER.replace("\"controlled_p99_s\": 32.0", "\"controlled_p99_s\": 64.0"),
         );
-        assert_eq!(check_report("overload", &over, &over, 0.25), 1);
+        assert_eq!(failures("overload", &over, &over), 1);
     }
 
     const REPAIR_PAPER: &str = r#"{
@@ -616,7 +668,7 @@ mod tests {
     #[test]
     fn repair_reports_use_repair_rules() {
         let base = parse_flat_json(REPAIR_PAPER);
-        assert_eq!(check_report("repair", &base, &base, 0.25), 0);
+        assert_eq!(failures("repair", &base, &base), 0);
     }
 
     #[test]
@@ -629,7 +681,7 @@ mod tests {
             "\"min_reachable_promote_partner_k1\": 0.978",
             "\"min_reachable_promote_partner_k1\": 0.94",
         ));
-        assert_eq!(check_report("repair", &base, &below_bar, 0.25), 1);
+        assert_eq!(failures("repair", &base, &below_bar), 1);
         // A vanished separation (the baseline no longer degrades)
         // fails the gain floor even though higher-better relative
         // checks alone would also catch this large a drop.
@@ -637,6 +689,6 @@ mod tests {
             "\"reachability_gain_k1\": 0.32",
             "\"reachability_gain_k1\": 0.02",
         ));
-        assert_eq!(check_report("repair", &base, &no_gain, 0.25), 1);
+        assert_eq!(failures("repair", &base, &no_gain), 1);
     }
 }

@@ -72,10 +72,12 @@
 )]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use sp_bench::Mode;
+use sp_bench::{Console, Mode};
 use sp_graph::FloodScratch;
 use sp_model::analysis::{analyze, AnalysisOptions, AnalysisResult, Engine};
 use sp_model::config::Config;
@@ -83,6 +85,7 @@ use sp_model::instance::NetworkInstance;
 use sp_model::overload::OverloadPolicy;
 use sp_model::query_model::QueryModel;
 use sp_model::repair::RepairPolicy;
+use sp_model::scenario::{PhaseKind, PhaseSpec, ScenarioPlan};
 use sp_model::trials::resolve_thread_budget;
 use sp_sim::scenario::{crash_storm_plan, crash_storm_trials, SimTrialOptions};
 use sp_sim::{ReferenceSimulation, ScaleOptions, ShardedSimulation, SimOptions, Simulation};
@@ -158,18 +161,18 @@ fn out_dir() -> String {
     std::env::var("REPRO_OUT").unwrap_or_else(|_| "repro_out".to_string())
 }
 
-fn write_json(name: &str, json: &str) {
+fn write_json(out: &mut dyn Write, name: &str, json: &str) -> io::Result<()> {
     let dir = out_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let path = format!("{dir}/{name}");
     std::fs::write(&path, json).unwrap();
-    println!("\nwrote {path}:\n{json}");
+    writeln!(out, "\nwrote {path}:\n{json}")
 }
 
 /// The standard churn workload: defaults (heavy-tailed lifespans with a
 /// 1080 s mean, flooding, no adaptation), cluster size 10, run `reps`
 /// times per engine.
-fn sim_section(mode: Mode, reps: usize) {
+fn sim_section(out: &mut dyn Write, mode: Mode, reps: usize) -> io::Result<()> {
     let cfg = Config {
         graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
@@ -181,10 +184,11 @@ fn sim_section(mode: Mode, reps: usize) {
         seed: 42,
         ..Default::default()
     };
-    println!(
+    writeln!(
+        out,
         "-- simulator: standard churn workload, {} peers, {duration_secs} simulated s --",
         cfg.graph_size
-    );
+    )?;
 
     // Wall-clock noise on a shared machine easily exceeds the gap being
     // measured (the quick workload runs in tens of milliseconds), so
@@ -229,16 +233,18 @@ fn sim_section(mode: Mode, reps: usize) {
     }
     let reference_metrics = reference_metrics.expect("reps >= 1");
     let eps_reference = delivered as f64 / reference_s;
-    println!(
+    writeln!(
+        out,
         "reference engine: {reference_s:>8.3} s best of {reps}  ({delivered} events, {eps_reference:.0} events/s)"
-    );
+    )?;
     let fast_metrics = fast_metrics.expect("reps >= 1");
     let fast = fast.expect("reps >= 1");
     let eps_fast = fast.events_delivered() as f64 / fast_s;
-    println!(
+    writeln!(
+        out,
         "fast engine:      {fast_s:>8.3} s best of {reps}  ({} events, {eps_fast:.0} events/s, {fast_allocs} allocations)",
         fast.events_delivered()
-    );
+    )?;
 
     // The engines must agree — bitwise — before a speedup means anything.
     assert_eq!(
@@ -249,10 +255,11 @@ fn sim_section(mode: Mode, reps: usize) {
 
     let speedup = reference_s / fast_s;
     let obs = fast.observability();
-    println!(
+    writeln!(
+        out,
         "speedup vs reference: {speedup:.2}x  (queue high water {}, {} cancelled, {} stale)",
         obs.queue_high_water, obs.cancelled, obs.stale
-    );
+    )?;
 
     // Snapshot *before* the analysis section allocates its much larger
     // instance, so this number is attributable to the simulator.
@@ -275,7 +282,7 @@ fn sim_section(mode: Mode, reps: usize) {
         fa = fast_allocs,
         rss = rss_json(rss),
     );
-    write_json("BENCH_sim.json", &json);
+    write_json(out, "BENCH_sim.json", &json)
 }
 
 /// Fault-path workload: the canonical crash-storm plan (two waves each
@@ -284,7 +291,7 @@ fn sim_section(mode: Mode, reps: usize) {
 /// so the retry/failover and rejoin machinery is on the hot path.
 /// Engine agreement is asserted — bitwise, fault counters included —
 /// before the speedup is reported.
-fn faults_section(mode: Mode, reps: usize) {
+fn faults_section(out: &mut dyn Write, mode: Mode, reps: usize) -> io::Result<()> {
     let cfg = Config {
         graph_size: if mode.quick { 1000 } else { 4000 },
         cluster_size: 10,
@@ -292,17 +299,21 @@ fn faults_section(mode: Mode, reps: usize) {
     }
     .with_redundancy(true);
     let duration_secs = if mode.quick { 600.0 } else { 1800.0 };
-    let plan = crash_storm_plan(duration_secs);
+    let plan = ScenarioPlan {
+        faults: crash_storm_plan(duration_secs),
+        ..ScenarioPlan::default()
+    };
     let opts = SimOptions {
         duration_secs,
         seed: 42,
         fault_seed: 42,
         ..Default::default()
     };
-    println!(
+    writeln!(
+        out,
         "-- fault path: crash-storm plan, {} peers (k = 2), {duration_secs} simulated s --",
         cfg.graph_size
-    );
+    )?;
 
     // Same interleaved best-of-reps protocol as the sim section.
     let mut reference_s = f64::INFINITY;
@@ -314,7 +325,7 @@ fn faults_section(mode: Mode, reps: usize) {
     let mut fast = None;
     for _ in 0..reps {
         let t = Instant::now();
-        let mut reference = ReferenceSimulation::with_faults(&cfg, opts, &plan);
+        let mut reference = ReferenceSimulation::with_scenario(&cfg, opts, &plan);
         let metrics = reference.run();
         let wall = t.elapsed().as_secs_f64();
         reference_s = reference_s.min(wall);
@@ -326,7 +337,7 @@ fn faults_section(mode: Mode, reps: usize) {
 
         let before = allocs();
         let t = Instant::now();
-        let mut sim = Simulation::with_faults(&cfg, opts, &plan);
+        let mut sim = Simulation::with_scenario(&cfg, opts, &plan);
         let metrics = sim.run();
         let wall = t.elapsed().as_secs_f64();
         fast_allocs = allocs() - before;
@@ -354,17 +365,20 @@ fn faults_section(mode: Mode, reps: usize) {
     let eps_reference = delivered as f64 / reference_s;
     let eps_fast = fast.events_delivered() as f64 / fast_s;
     let speedup = reference_s / fast_s;
-    println!(
+    writeln!(
+        out,
         "reference engine: {reference_s:>8.3} s best of {reps}  ({delivered} events, {eps_reference:.0} events/s)"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "fast engine:      {fast_s:>8.3} s best of {reps}  ({} events, {eps_fast:.0} events/s, {fast_allocs} allocations)",
         fast.events_delivered()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "speedup vs reference: {speedup:.2}x  ({} crashed, {} dropped, {} lost of {} issued)",
         f.injected_crash, f.injected_drop, f.queries_lost, f.queries_issued
-    );
+    )?;
 
     let json = format!(
         "{{\n  \"bench\": \"sim_crash_storm_faults\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"seed\": {seed},\n  \"fault_seed\": {fseed},\n  \"fault_plan_len\": {fpl},\n  \"events_delivered\": {ev},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_wall_s\": {fs:.4},\n  \"events_per_sec_reference\": {epr:.1},\n  \"events_per_sec_fast\": {epf:.1},\n  \"speedup_vs_reference\": {sp:.3},\n  \"fast_run_allocs\": {fa},\n  \"queries_issued\": {qi},\n  \"queries_lost\": {ql},\n  \"recovered_retry\": {rr},\n  \"recovered_failover\": {rf},\n  \"injected_crash\": {ic},\n  \"injected_drop\": {id}\n}}\n",
@@ -373,7 +387,7 @@ fn faults_section(mode: Mode, reps: usize) {
         dur = duration_secs,
         seed = opts.seed,
         fseed = opts.fault_seed,
-        fpl = plan.faults.len(),
+        fpl = plan.faults.faults.len(),
         ev = delivered,
         refs = reference_s,
         fs = fast_s,
@@ -388,7 +402,7 @@ fn faults_section(mode: Mode, reps: usize) {
         ic = f.injected_crash,
         id = f.injected_drop,
     );
-    write_json("BENCH_faults.json", &json);
+    write_json(out, "BENCH_faults.json", &json)
 }
 
 /// Self-healing comparison: the canonical crash storm re-run under
@@ -406,7 +420,7 @@ fn faults_section(mode: Mode, reps: usize) {
 /// under every policy (repair deliberately ignores them), and at the
 /// default churn rate that shared noise floor would swamp the variable
 /// being measured.
-fn repair_section(mode: Mode) {
+fn repair_section(out: &mut dyn Write, mode: Mode) -> io::Result<()> {
     let duration_secs = if mode.quick { 600.0 } else { 1800.0 };
     let mut cfg = Config {
         graph_size: if mode.quick { 1000 } else { 4000 },
@@ -415,10 +429,11 @@ fn repair_section(mode: Mode) {
     };
     cfg.population.lifespan_mean_secs = 12.0 * duration_secs;
     let trials = if mode.quick { 4 } else { 8 };
-    println!(
+    writeln!(
+        out,
         "-- repair: crash storm under each policy, {} peers, {trials} trials x {duration_secs} simulated s --",
         cfg.graph_size
-    );
+    )?;
 
     let mut fields = String::new();
     let mut min_reach_k1 = Vec::new();
@@ -436,13 +451,14 @@ fn repair_section(mode: Mode) {
             },
         );
         let wall = t.elapsed().as_secs_f64();
-        println!(
+        writeln!(
+            out,
             "{policy:>16}: min reachable k=1 {:.4} +/- {:.4}, k=2 {:.4} +/- {:.4}  ({wall:.2} s)",
             s.min_reachable_k1.mean,
             s.min_reachable_k1.half_width,
             s.min_reachable_k2.mean,
             s.min_reachable_k2.half_width
-        );
+        )?;
         // JSON field slug: `promote+partner` -> `promote_partner`.
         let slug = policy.to_string().replace('+', "_");
         fields.push_str(&format!(
@@ -466,7 +482,10 @@ fn repair_section(mode: Mode) {
         off < 0.95,
         "the no-repair baseline should not clear the bar (did the storm fire?): {off:.4}"
     );
-    println!("self-healing margin (k=1): off {off:.4} vs promote+partner {promote_partner:.4}");
+    writeln!(
+        out,
+        "self-healing margin (k=1): off {off:.4} vs promote+partner {promote_partner:.4}"
+    )?;
 
     let json = format!(
         "{{\n  \"bench\": \"repair_crash_storm_reachability\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"duration_secs\": {dur},\n  \"trials\": {trials},\n  \"seed\": 42,\n{fields}  \"reachability_gain_k1\": {gain:.6}\n}}\n",
@@ -475,7 +494,7 @@ fn repair_section(mode: Mode) {
         dur = duration_secs,
         gain = promote_partner - off,
     );
-    write_json("BENCH_repair.json", &json);
+    write_json(out, "BENCH_repair.json", &json)
 }
 
 /// Overload-control comparison: the churn workload with a 10× flash
@@ -488,9 +507,7 @@ fn repair_section(mode: Mode) {
 /// delivered or explicitly shed/rejected, while the uncontrolled
 /// baseline's p99 diverges — are asserted here, so a regression fails
 /// the benchmark itself, not just the downstream gate.
-fn overload_section(mode: Mode) {
-    use sp_model::scenario::{PhaseKind, PhaseSpec, ScenarioPlan};
-
+fn overload_section(out: &mut dyn Write, mode: Mode) -> io::Result<()> {
     let cfg = Config {
         graph_size: if mode.quick { 1000 } else { 2000 },
         cluster_size: 10,
@@ -515,10 +532,11 @@ fn overload_section(mode: Mode) {
         seed: 42,
         ..Default::default()
     };
-    println!(
+    writeln!(
+        out,
         "-- overload: {}x flash crowd, {} peers, {duration_secs} simulated s, service rate {:.3}/s, queue cap {} --",
         crowd_mult, cfg.graph_size, controlled_policy.service_rate, controlled_policy.queue_capacity
-    );
+    )?;
 
     let run_both = |policy: OverloadPolicy, label: &str| {
         let mut plan = plan.clone();
@@ -559,7 +577,8 @@ fn overload_section(mode: Mode) {
         1.5 * (controlled_policy.queue_capacity + 1) as f64 / controlled_policy.service_rate;
     let divergence = p99_uncontrolled / p99_controlled.max(f64::MIN_POSITIVE);
 
-    println!(
+    writeln!(
+        out,
         "controlled:   delivered {} / shed {} / rejected {} of {issued} issued  (explicit {:.4}, p99 {:.1} s, peak depth {}, {} brownouts, {} re-homed)",
         ov.delivered,
         ov.shed_discipline + ov.shed_dead + ov.shed_residual,
@@ -569,19 +588,21 @@ fn overload_section(mode: Mode) {
         ov.peak_depth,
         ov.brownout_entries,
         ov.rehomed,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "uncontrolled: delivered {} of {} issued  (p99 {:.1} s, peak depth {}, residual {})",
         uncontrolled.overload.delivered,
         uncontrolled.faults.queries_issued,
         p99_uncontrolled,
         uncontrolled.overload.peak_depth,
         uncontrolled.overload.shed_residual,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "p99 divergence: uncontrolled {:.1} s vs controlled bound {:.1} s ({divergence:.1}x)",
         p99_uncontrolled, p99_bound
-    );
+    )?;
 
     // The acceptance bars for the overload subsystem.
     assert!(
@@ -621,10 +642,10 @@ fn overload_section(mode: Mode) {
         up99 = p99_uncontrolled,
         dv = divergence,
     );
-    write_json("BENCH_overload.json", &json);
+    write_json(out, "BENCH_overload.json", &json)
 }
 
-fn analyze_section(mode: Mode) {
+fn analyze_section(out: &mut dyn Write, mode: Mode) -> io::Result<()> {
     let cfg = Config {
         graph_size: if mode.quick { 10_000 } else { 100_000 },
         cluster_size: 10,
@@ -639,7 +660,10 @@ fn analyze_section(mode: Mode) {
     let inst = NetworkInstance::generate(&cfg, &mut rng).unwrap();
     let gen_s = t.elapsed().as_secs_f64();
     let model = QueryModel::from_config(&cfg.query_model);
-    println!("-- analysis: generated {n_clusters} clusters in {gen_s:.2} s --\n");
+    writeln!(
+        out,
+        "-- analysis: generated {n_clusters} clusters in {gen_s:.2} s --\n"
+    )?;
 
     // Flood-path allocation count: after one warm flood sizes the
     // scratch, further sources must allocate nothing.
@@ -651,10 +675,11 @@ fn analyze_section(mode: Mode) {
         inst.topology.flood_into(&mut scratch, src as u32, cfg.ttl);
     }
     let flood_allocs = allocs() - before;
-    println!(
+    writeln!(
+        out,
         "flood path: {flood_allocs} heap allocations across {sources_measured} sources \
          (scratch reuse)"
-    );
+    )?;
 
     // Wall times. One run each: at this scale a run is seconds long and
     // the engines are deterministic, so run-to-run noise is small
@@ -673,7 +698,7 @@ fn analyze_section(mode: Mode) {
     });
     // Attributable: the fast engine has not run yet.
     let rss_after_reference = peak_rss_kb();
-    println!("reference engine:      {reference_s:>8.3} s");
+    writeln!(out, "reference engine:      {reference_s:>8.3} s")?;
 
     // The two walls below feed the downstream multi-vs-single-thread
     // gate, a ~10 % bound — tighter than single-run jitter on a noisy
@@ -716,9 +741,12 @@ fn analyze_section(mode: Mode) {
         });
         fast_s = fast_s.min(wall);
     }
-    println!("fast engine, 1 thread: {fast_1_thread_s:>8.3} s best of 3  ({fast_total_allocs} allocations for all {n_clusters} sources)");
+    writeln!(out, "fast engine, 1 thread: {fast_1_thread_s:>8.3} s best of 3  ({fast_total_allocs} allocations for all {n_clusters} sources)")?;
     let rss_after_fast = peak_rss_kb();
-    println!("fast engine, {cores} core(s): {fast_s:>8.3} s best of 3");
+    writeln!(
+        out,
+        "fast engine, {cores} core(s): {fast_s:>8.3} s best of 3"
+    )?;
 
     // The engines must agree before a speedup means anything.
     let (r, f1, fa) = (
@@ -737,9 +765,10 @@ fn analyze_section(mode: Mode) {
 
     let speedup = reference_s / fast_s;
     let speedup_1t = reference_s / fast_1_thread_s;
-    println!(
+    writeln!(
+        out,
         "\nspeedup vs reference: {speedup:.2}x on {cores} core(s), {speedup_1t:.2}x single-threaded"
-    );
+    )?;
 
     // Explicit 1/2/4/8-thread scaling sweep (ROADMAP item 2: the
     // multi-thread path once landed *slower* than single-thread, and
@@ -767,7 +796,7 @@ fn analyze_section(mode: Mode) {
                 && rel(r.results_per_query, m.results_per_query) <= 1e-12,
             "fast({t} threads) disagrees with reference"
         );
-        println!("fast engine, {t} threads: {wall:>8.3} s");
+        writeln!(out, "fast engine, {t} threads: {wall:>8.3} s")?;
         sweep_walls.push((t, wall));
     }
     let best = sweep_walls
@@ -779,7 +808,10 @@ fn analyze_section(mode: Mode) {
         .iter()
         .map(|(t, w)| format!("  \"wall_s_threads_{t}\": {w:.4},\n"))
         .collect();
-    println!("thread sweep best: {thread_speedup_best:.2}x vs single-threaded");
+    writeln!(
+        out,
+        "thread sweep best: {thread_speedup_best:.2}x vs single-threaded"
+    )?;
 
     let json = format!(
         "{{\n  \"bench\": \"analyze_power_law_ttl7_full_sources\",\n  \"mode\": \"{mode}\",\n  \"graph_size\": {gs},\n  \"clusters\": {nc},\n  \"ttl\": {ttl},\n  \"cores\": {cores},\n  \"generate_wall_s\": {gen:.4},\n  \"reference_wall_s\": {refs:.4},\n  \"fast_1_thread_wall_s\": {f1:.4},\n  \"fast_wall_s\": {fs:.4},\n{sweep}  \"thread_speedup_best\": {tsb:.3},\n  \"speedup_vs_reference\": {sp:.3},\n  \"speedup_vs_reference_1_thread\": {sp1:.3},\n  \"flood_allocs_per_source\": {fa},\n  \"flood_sources_measured\": {fsm},\n  \"fast_total_allocs\": {fta},\n  \"peak_rss_kb_reference\": {rss_ref},\n  \"peak_rss_kb\": {rss}\n}}\n",
@@ -802,7 +834,7 @@ fn analyze_section(mode: Mode) {
         rss_ref = rss_json(rss_after_reference),
         rss = rss_json(rss_after_fast),
     );
-    write_json("BENCH_analyze.json", &json);
+    write_json(out, "BENCH_analyze.json", &json)
 }
 
 /// JSON field suffix for a peer count (`4000` → `4k`, `1000000` → `1m`).
@@ -830,7 +862,7 @@ fn size_label(peers: usize) -> String {
 ///   and degrades to a coordination-overhead bound (≥ 0.6×) on
 ///   smaller ones, where extra shards cannot beat the core count; the
 ///   recorded `cores` field is what the gate dispatches on.
-fn scale_section(mode: Mode) {
+fn scale_section(out: &mut dyn Write, mode: Mode) -> io::Result<()> {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let sizes: &[usize] = if mode.quick {
         &[4_000, 40_000]
@@ -839,10 +871,11 @@ fn scale_section(mode: Mode) {
     };
     let duration_secs = if mode.quick { 120.0 } else { 300.0 };
     let curve_shards = resolve_thread_budget(mode.threads).min(8);
-    println!(
+    writeln!(
+        out,
         "-- scale: sharded engine, up to {} peers, {duration_secs} simulated s, {curve_shards} shard(s) on {cores} core(s) --",
         sizes.last().expect("sizes is non-empty")
-    );
+    )?;
 
     let mut curve_fields = String::new();
     let mut rss_after_top = None;
@@ -860,10 +893,11 @@ fn scale_section(mode: Mode) {
         let wall = t.elapsed().as_secs_f64();
         let events = m.events_processed();
         let eps = events as f64 / wall;
-        println!(
+        writeln!(
+            out,
             "{peers:>9} peers: {wall:>8.3} s  ({events} events, {eps:.0} events/s, queue high water {})",
             sim.diag().queue_high_water
-        );
+        )?;
         let label = size_label(peers);
         curve_fields.push_str(&format!(
             "  \"wall_s_{label}\": {wall:.4},\n  \"events_{label}\": {events},\n  \"events_per_sec_{label}\": {eps:.1},\n"
@@ -891,10 +925,11 @@ fn scale_section(mode: Mode) {
         let m = sim.run();
         let wall = t.elapsed().as_secs_f64();
         let eps = m.events_processed() as f64 / wall;
-        println!(
+        writeln!(
+            out,
             "sweep {sweep_peers} peers, {shards} shard(s): {wall:>8.3} s  ({eps:.0} events/s, {} cross-shard msgs)",
             sim.diag().cross_shard_msgs
-        );
+        )?;
         cross_msgs_8 = sim.diag().cross_shard_msgs;
         // Bitwise shard-count invariance is the engine's headline
         // contract; a sweep that broke it must not publish ratios.
@@ -905,7 +940,10 @@ fn scale_section(mode: Mode) {
         walls.push(wall);
     }
     let speedup_8shard = walls[0] / walls[3];
-    println!("shard sweep: 8-shard/1-shard throughput ratio {speedup_8shard:.2}x");
+    writeln!(
+        out,
+        "shard sweep: 8-shard/1-shard throughput ratio {speedup_8shard:.2}x"
+    )?;
 
     let json = format!(
         "{{\n  \"bench\": \"scale_sharded_engine_throughput\",\n  \"mode\": \"{mode}\",\n  \"cores\": {cores},\n  \"curve_shards\": {curve_shards},\n  \"duration_secs\": {dur},\n  \"seed\": 42,\n{curve}  \"sweep_peers\": {sw},\n  \"sweep_wall_s_shards_1\": {w1:.4},\n  \"sweep_wall_s_shards_2\": {w2:.4},\n  \"sweep_wall_s_shards_4\": {w4:.4},\n  \"sweep_wall_s_shards_8\": {w8:.4},\n  \"sweep_cross_shard_msgs_8\": {cm},\n  \"speedup_8shard\": {s8:.3},\n  \"peak_rss_kb\": {rss}\n}}\n",
@@ -921,14 +959,14 @@ fn scale_section(mode: Mode) {
         s8 = speedup_8shard,
         rss = rss_json(rss_after_top),
     );
-    write_json("BENCH_scale.json", &json);
+    write_json(out, "BENCH_scale.json", &json)
 }
 
 /// The sections, in the order they run; `REPRO_SECTIONS` selects a
 /// subset as a comma list of these names (unset = all).
 const SECTIONS: [&str; 6] = ["sim", "faults", "repair", "overload", "analyze", "scale"];
 
-fn main() {
+fn main() -> ExitCode {
     let mode = sp_bench::mode();
     let sections = sp_bench::setting(
         "REPRO_SECTIONS",
@@ -944,40 +982,52 @@ fn main() {
         v.parse().ok().filter(|&r: &usize| r >= 1)
     })
     .unwrap_or(5);
+    let mut out = Console::stdout();
+    match run(&mut out, mode, &sections, reps).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_bench: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs the selected sections in order, printing to `out`.
+fn run(out: &mut dyn Write, mode: Mode, sections: &[&str], reps: usize) -> io::Result<()> {
     let section_enabled = |name| sections.contains(&name);
     mode.banner(
-        &mut std::io::stdout(),
+        out,
         "Engine benchmarks",
         "simulator + analysis wall time, allocations, and peak RSS",
-    )
-    .unwrap();
+    )?;
     // Smallest footprint first: VmHWM is monotonic, so the simulator's
     // RSS snapshot must be taken before the analysis instance exists.
     if section_enabled("sim") {
-        sim_section(mode, reps);
-        println!();
+        sim_section(out, mode, reps)?;
+        writeln!(out)?;
     }
     if section_enabled("faults") {
-        faults_section(mode, reps);
-        println!();
+        faults_section(out, mode, reps)?;
+        writeln!(out)?;
     }
     if section_enabled("repair") {
-        repair_section(mode);
-        println!();
+        repair_section(out, mode)?;
+        writeln!(out)?;
     }
     if section_enabled("overload") {
-        overload_section(mode);
-        println!();
+        overload_section(out, mode)?;
+        writeln!(out)?;
     }
     if section_enabled("analyze") {
-        analyze_section(mode);
-        println!();
+        analyze_section(out, mode)?;
+        writeln!(out)?;
     }
     // Last: the million-peer run has the largest footprint, so an
     // earlier section cannot be blamed on it — but regenerate the
     // checked-in scale baseline standalone (REPRO_SECTIONS=scale) so
     // the converse holds for its own RSS snapshot too.
     if section_enabled("scale") {
-        scale_section(mode);
+        scale_section(out, mode)?;
     }
+    Ok(())
 }

@@ -15,6 +15,10 @@
 //! exits 2 with one stderr line naming the variable and its value, and
 //! [`setting`] does the same for each binary's own settings
 //! (`REPRO_SECTIONS`, `REPRO_SIM_REPS`, `CHECK_BENCH_TOL`).
+//!
+//! `repro_bench` and `check_bench` print through one [`Console`], so a
+//! reader that goes away (`check_bench | head -1`) stops the printing
+//! but neither the work nor the exit code.
 
 #![allow(
     clippy::disallowed_methods,
@@ -132,6 +136,55 @@ impl Mode {
             if self.quick { "quick" } else { "paper-scale" }
         )?;
         writeln!(out, "{rule}\n")
+    }
+}
+
+/// Standard output through one locked handle, for a run whose work
+/// must finish even when nobody reads it. A broken pipe closes the
+/// console: that write and every later one are dropped and report
+/// success, so the run still writes its reports and keeps its exit
+/// code. Any other write error is returned.
+pub struct Console {
+    out: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Console {
+    /// Locks standard output for the rest of the run.
+    pub fn stdout() -> Console {
+        Console {
+            out: io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Closes the console on a broken pipe and passes on anything else.
+    fn settle(&mut self, written: io::Result<()>) -> io::Result<()> {
+        match written {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            other => other,
+        }
+    }
+}
+
+impl Write for Console {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            let written = self.out.write_all(buf);
+            self.settle(written)?;
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.out.flush();
+        self.settle(flushed)
     }
 }
 

@@ -1,8 +1,10 @@
 //! The `repro`, `repro_bench` and `check_bench` command lines: usage
-//! errors and malformed variables exit 2 with nothing on stdout, and
-//! `repro` exits 0 when its reader goes away. Every child starts with
-//! the variables these binaries read removed, so the caller's
-//! environment cannot change what it sees.
+//! errors and malformed variables exit 2 with nothing on stdout,
+//! `repro` exits 0 when its reader goes away, and a closed stdout
+//! changes neither `check_bench`'s verdict nor the reports
+//! `repro_bench` writes. Every child starts with the variables these
+//! binaries read removed, so the caller's environment cannot change
+//! what it sees.
 
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -37,6 +39,14 @@ fn command(bin: &str, args: &[&str], vars: &[(&str, &str)]) -> Command {
 /// Runs `bin` to completion; see [`command`].
 fn run(bin: &str, args: &[&str], vars: &[(&str, &str)]) -> Output {
     command(bin, args, vars).output().unwrap()
+}
+
+/// Runs `bin` with its stdout a pipe whose reader is already gone, so
+/// every write to it fails with a broken pipe; see [`command`].
+fn run_with_stdout_closed(bin: &str, args: &[&str], vars: &[(&str, &str)]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    command(bin, args, vars).stdout(writer).output().unwrap()
 }
 
 /// Asserts a usage-level failure: exit 2, empty stdout, and every
@@ -180,4 +190,66 @@ fn check_bench_tolerance_must_be_finite_and_non_negative() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("PASS"), "{stdout}");
+}
+
+#[test]
+fn check_bench_passes_with_stdout_closed() {
+    let baselines = concat!(env!("CARGO_MANIFEST_DIR"), "/../../repro_out");
+    let out = run_with_stdout_closed(CHECK_BENCH, &[baselines, baselines], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+}
+
+#[test]
+fn check_bench_fails_a_regression_with_stdout_closed() {
+    // The baselines with the churn engine's speedup collapsed: a closed
+    // pipe must not turn the failing gate into a pass.
+    let baselines = concat!(env!("CARGO_MANIFEST_DIR"), "/../../repro_out");
+    let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check_bench_regressed");
+    std::fs::create_dir_all(&fresh).unwrap();
+    for entry in std::fs::read_dir(baselines).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        if name.starts_with("BENCH_") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<String> = text
+                .lines()
+                .map(|line| match line.split_once("\"speedup_vs_reference\": ") {
+                    Some((indent, _)) if name == "BENCH_sim.json" => {
+                        format!("{indent}\"speedup_vs_reference\": 0.5,")
+                    }
+                    _ => line.to_string(),
+                })
+                .collect();
+            std::fs::write(fresh.join(name), lines.join("\n")).unwrap();
+        }
+    }
+    let fresh = fresh.to_str().unwrap();
+    let open = run(CHECK_BENCH, &[baselines, fresh], &[]);
+    let stdout = String::from_utf8_lossy(&open.stdout);
+    assert!(stdout.contains("FAIL speedup_vs_reference"), "{stdout}");
+    let regressed = run_with_stdout_closed(CHECK_BENCH, &[baselines, fresh], &[]);
+    let stderr = String::from_utf8_lossy(&regressed.stderr);
+    assert_eq!(regressed.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn repro_bench_writes_its_report_with_stdout_closed() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_bench_closed_stdout");
+    let report = dir.join("BENCH_sim.json");
+    std::fs::remove_file(&report).ok();
+    let vars = [
+        ("REPRO_QUICK", "1"),
+        ("REPRO_SECTIONS", "sim"),
+        ("REPRO_SIM_REPS", "1"),
+        ("REPRO_OUT", dir.to_str().unwrap()),
+    ];
+    let out = run_with_stdout_closed(REPRO_BENCH, &[], &vars);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let json = std::fs::read_to_string(&report).unwrap();
+    assert!(json.contains("\"mode\": \"quick\""), "{json}");
 }

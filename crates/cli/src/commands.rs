@@ -157,6 +157,19 @@ fn overload_from(args: &Args, cfg: &Config) -> Result<OverloadPolicy, CliError> 
     }
 }
 
+/// Reads `--repair` (off when absent). Repair only engages on
+/// fault-injected crashes.
+fn repair_from(args: &Args) -> Result<RepairPolicy, ArgError> {
+    match args.get("repair") {
+        None => Ok(RepairPolicy::Off),
+        Some(s) => RepairPolicy::parse(s).ok_or_else(|| {
+            ArgError(format!(
+                "--repair: unknown policy {s:?} (expected off, promote, or promote+partner)"
+            ))
+        }),
+    }
+}
+
 /// Builds a [`Config`] from the shared topology options.
 fn config_from(args: &Args) -> Result<Config, ArgError> {
     let mut b = NetworkBuilder::new()
@@ -605,13 +618,11 @@ struct RunSpec {
     scenario_seed: u64,
     trials: usize,
     threads: usize,
-    repair: RepairPolicy,
-    faults: FaultPlan,
-    scenario: ScenarioPlan,
-    /// The flag-selected policy (empty = off). A resumed run takes its
-    /// policy from the snapshot; there `--overload` only asserts that
-    /// the snapshot has one.
-    overload: OverloadPolicy,
+    /// The run's one description: the `--scenario` file, or a plan of
+    /// `--faults`, `--repair` and the overload flags. A resumed run
+    /// takes its plan from the snapshot; there `--overload` only
+    /// asserts that the snapshot has an overload policy.
+    plan: ScenarioPlan,
     checkpoint_every: Option<f64>,
     checkpoint_dir: String,
     metrics_json: Option<String>,
@@ -660,6 +671,17 @@ impl RunSpec {
         // An invalid scenario is the caller's fault (exit 2).
         let scenario = json_file(args, "scenario", ScenarioPlan::from_json, CliError::Usage)?;
         let overload = overload_from(args, &cfg)?;
+        // The conflict table keeps `--scenario` apart from the flags
+        // that would otherwise build the plan.
+        let plan = match scenario {
+            Some(plan) => plan,
+            None => ScenarioPlan {
+                faults: faults.unwrap_or_default(),
+                repair: repair_from(args)?,
+                overload,
+                ..ScenarioPlan::default()
+            },
+        };
         Ok(RunSpec {
             kind: row.kind,
             duration,
@@ -670,18 +692,7 @@ impl RunSpec {
             // Validated for every kind, though only the multi-run kinds
             // fan out: `--threads 0` is always a usage error.
             threads: threads_from(args)?,
-            // Repair only engages on fault-injected crashes.
-            repair: match args.get("repair") {
-                None => RepairPolicy::Off,
-                Some(s) => RepairPolicy::parse(s).ok_or_else(|| {
-                    ArgError(format!(
-                        "--repair: unknown policy {s:?} (expected off, promote, or promote+partner)"
-                    ))
-                })?,
-            },
-            faults: faults.unwrap_or_default(),
-            scenario: scenario.unwrap_or_default(),
-            overload,
+            plan,
             checkpoint_every: checkpoint_every_from(args)?,
             checkpoint_dir: args.get("checkpoint-dir").unwrap_or("checkpoints").into(),
             metrics_json: args.get("metrics-json").map(str::to_string),
@@ -711,7 +722,7 @@ impl RunSpec {
             trials: self.trials,
             seed: self.seed,
             threads: self.threads,
-            repair: self.repair,
+            repair: self.plan.repair,
             ..Default::default()
         }
     }
@@ -721,7 +732,7 @@ impl RunSpec {
     fn engine(&self) -> Result<Engine, CliError> {
         let Some(path) = &self.resume else {
             if self.kind == RunKind::Scale {
-                let sim = ShardedSimulation::with_faults(&self.cfg, self.scale, &self.faults);
+                let sim = ShardedSimulation::with_faults(&self.cfg, self.scale, &self.plan.faults);
                 return Ok(Engine::Scale(Box::new(sim)));
             }
             let opts = SimOptions {
@@ -730,14 +741,9 @@ impl RunSpec {
                 fault_seed: self.fault_seed,
                 scenario_seed: self.scenario_seed,
                 profile: self.metrics_json.is_some(),
-                repair: self.repair,
-                overload: self.overload,
                 ..Default::default()
             };
-            let sim = match self.kind {
-                RunKind::Scenario => Simulation::with_scenario(&self.cfg, opts, &self.scenario),
-                _ => Simulation::with_faults(&self.cfg, opts, &self.faults),
-            };
+            let sim = Simulation::with_scenario(&self.cfg, opts, &self.plan);
             return Ok(Engine::Fast(Box::new(sim)));
         };
         let data = std::fs::read(path)
@@ -764,7 +770,7 @@ impl RunSpec {
         };
         // A policy cannot be enabled mid-run without changing every
         // draw after the checkpoint.
-        if !self.overload.is_empty() && !engine.overload_active() {
+        if !self.plan.overload.is_empty() && !engine.overload_active() {
             return Err(CliError::Usage(format!(
                 "--overload: the snapshot at {path} was captured without an overload \
                  policy, and a policy cannot be enabled at resume time; drop \
@@ -854,7 +860,7 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
             let json = spec
                 .metrics_json
                 .as_ref()
-                .map(|_| sim.manifest(start.elapsed().as_secs_f64()).to_json());
+                .map(|_| sim.manifest(&raw, start.elapsed().as_secs_f64()).to_json());
             (churn_report(&sim, raw, spec.resume.is_some()), json)
         }
         Engine::Scale(mut sim) => {
@@ -905,16 +911,13 @@ fn churn_report(sim: &Simulation, raw: RawMetrics, resumed: bool) -> String {
         ("availability", format!("{:.4}", r.availability)),
         ("cluster failures", r.cluster_failures.to_string()),
     ];
-    let scenario = sim.scenario_plan();
-    if !scenario.is_empty() {
-        let sizes = format!(
-            "{} / {}",
-            scenario.phases.len(),
-            scenario.capacity_classes.len()
-        );
+    let plan = sim.scenario_plan();
+    let phased = !plan.phases.is_empty() || !plan.capacity_classes.is_empty();
+    if phased {
+        let sizes = format!("{} / {}", plan.phases.len(), plan.capacity_classes.len());
         rows.push(("scenario phases / classes", sizes));
     }
-    if !sim.fault_plan().is_empty() || !scenario.is_empty() {
+    if phased || !plan.faults.is_empty() {
         let injected = format!(
             "{}/{}/{}/{}/{}",
             fm.injected_crash,
@@ -938,7 +941,7 @@ fn churn_report(sim: &Simulation, raw: RawMetrics, resumed: bool) -> String {
                 format!("{:.1}", fm.reconnect.mean_secs()),
             ),
         ]);
-        if sim.options().repair.promotes() {
+        if plan.repair.promotes() {
             rows.extend([
                 ("repair promotions", rm.promotions.to_string()),
                 ("partner recruitments", rm.partner_recruitments.to_string()),
@@ -1118,7 +1121,7 @@ fn reliability_report(spec: &RunSpec) -> String {
 /// `--crash-storm`: the canonical storm at k = 1 and k = 2, one run or
 /// mean ± 95% CI over `--trials N` storms.
 fn crash_storm_report(spec: &RunSpec) -> String {
-    let repair = spec.repair;
+    let repair = spec.plan.repair;
     if spec.trials > 1 {
         let s = crash_storm_trials(&spec.cfg, spec.duration, &spec.trial_options());
         let table = k_table(vec![

@@ -41,11 +41,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let cols = self
@@ -148,7 +143,6 @@ mod tests {
         let c1 = lines[2].rfind('1').unwrap();
         let c2 = lines[3].rfind('5').unwrap();
         assert_eq!(c1, c2);
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

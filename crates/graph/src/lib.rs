@@ -34,9 +34,9 @@
 //!   engine floods into once per source without allocating;
 //! * [`metrics`] — connected components, degree statistics, reach and
 //!   expected-path-length measurement (Figure 9, Appendix F);
-//! * [`partition`] — [`PartitionMonitor`], an incremental weighted
-//!   union-find with epoch-based rebuild, used by the simulator to
-//!   track super-peer graph fragmentation under crash faults.
+//! * [`partition`] — [`PartitionMonitor`], a weighted union-find with
+//!   an O(1) epoch reset, rebuilt by the simulator at each observation
+//!   to track super-peer graph fragmentation under crash faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 //! on graphs (cycles reduce the "effective outdegree"). The functions
 //! here produce the measured side of that comparison.
 
-use sp_stats::{GroupedStats, OnlineStats, SpRng};
+use sp_stats::{OnlineStats, SpRng};
 
 use crate::graph::{Graph, NodeId};
 use crate::traverse::flood;
@@ -54,17 +54,6 @@ pub fn degree_stats(g: &Graph) -> OnlineStats {
         s.push(g.degree(v) as f64);
     }
     s
-}
-
-/// Frequency of each outdegree — the power-law check `f_d ∝ d^{-τ}`.
-/// Key = degree, observations = 1 per node (so `count()` per key is the
-/// frequency).
-pub fn degree_histogram(g: &Graph) -> GroupedStats {
-    let mut grouped = GroupedStats::new();
-    for v in g.nodes() {
-        grouped.push(g.degree(v) as u64, 1.0);
-    }
-    grouped
 }
 
 /// Number of nodes reached by a TTL-bounded flood from `src`
@@ -269,13 +258,5 @@ mod tests {
         assert_eq!(min_ttl_for_reach(150.0, 150, 10), Some(1));
         assert_eq!(min_ttl_for_reach(2.0, 1_000_000, 5), None);
         assert_eq!(min_ttl_for_reach(1.0, 10, 10), None);
-    }
-
-    #[test]
-    fn degree_histogram_counts_nodes() {
-        let g = ring(6);
-        let h = degree_histogram(&g);
-        assert_eq!(h.get(2).unwrap().count(), 6);
-        assert_eq!(h.len(), 1);
     }
 }

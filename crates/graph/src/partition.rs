@@ -1,5 +1,5 @@
-//! [`PartitionMonitor`]: incremental connectivity tracking over the
-//! live super-peer overlay.
+//! [`PartitionMonitor`]: connectivity of the live super-peer overlay,
+//! rebuilt at each observation.
 //!
 //! The simulator needs to answer, repeatedly and cheaply, "how
 //! fragmented is the super-peer graph right now, and what fraction of
@@ -8,18 +8,16 @@
 //! submitter's component). A full BFS per observation would be
 //! O(V + E) with allocation; this monitor is a weighted union-find
 //! (union by size, path compression) with an *epoch-stamped lazy
-//! reset*:
-//!
-//! * between observations, node insertions and edge unions are
-//!   incremental (amortized near-O(1) each);
-//! * deletions — which union-find cannot un-merge — just mark the
-//!   monitor dirty ([`PartitionMonitor::note_deletion`]); the next
-//!   observation rebuilds by bumping the epoch
-//!   ([`PartitionMonitor::begin_epoch`], O(1) — no buffer clearing)
-//!   and re-inserting the live nodes and edges.
+//! reset*. Each observation bumps the epoch
+//! ([`PartitionMonitor::begin_epoch`], O(1) — no buffer clearing),
+//! then inserts the live nodes and unions the live edges (amortized
+//! near-O(1) each). Churn deletes nodes and edges between any two
+//! observations, and union-find cannot un-merge, so every observation
+//! rebuilds; the buffers persist, so a rebuild allocates nothing once
+//! they have grown to the overlay's size.
 //!
 //! Component count and largest-component weight are maintained as
-//! running aggregates, so reading them is O(1). All state is plain
+//! running aggregates during the rebuild, so reading them is O(1). All state is plain
 //! vectors indexed by node id: deterministic by construction (rule D1
 //! of DESIGN.md §13 — no hashed containers), no RNG, no iteration-order
 //! dependence (union-find aggregates are merge-order independent).
@@ -28,7 +26,7 @@
 ///
 /// Nodes carry a caller-supplied weight (for the simulator: peers per
 /// cluster), so "largest component" is by total weight, not node
-/// count. See the module docs for the rebuild-on-deletion protocol.
+/// count. See the module docs for the per-observation rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionMonitor {
     /// Union-find parent pointers, indexed by node id.
@@ -46,10 +44,6 @@ pub struct PartitionMonitor {
     components: u32,
     /// Weight of the heaviest component this epoch.
     largest: u64,
-    /// Total inserted weight this epoch.
-    total: u64,
-    /// Whether a deletion has invalidated the incremental state.
-    dirty: bool,
 }
 
 impl PartitionMonitor {
@@ -62,10 +56,8 @@ impl PartitionMonitor {
     }
 
     /// Starts a fresh epoch: every previously inserted node and union
-    /// is forgotten in O(1), and the dirty flag is cleared. Call this,
-    /// then re-insert the live nodes and edges, whenever
-    /// [`is_dirty`](PartitionMonitor::is_dirty) reports that deletions
-    /// have occurred since the last rebuild.
+    /// is forgotten in O(1). Call this, then insert the live nodes and
+    /// edges, before each observation.
     pub fn begin_epoch(&mut self) {
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
@@ -78,8 +70,6 @@ impl PartitionMonitor {
         };
         self.components = 0;
         self.largest = 0;
-        self.total = 0;
-        self.dirty = false;
     }
 
     /// Registers `id` as a singleton component of the given weight.
@@ -98,7 +88,6 @@ impl PartitionMonitor {
         self.parent[i] = id;
         self.weight[i] = weight;
         self.components += 1;
-        self.total += weight;
         self.largest = self.largest.max(weight);
         true
     }
@@ -132,19 +121,6 @@ impl PartitionMonitor {
         true
     }
 
-    /// Records that a node or edge was deleted. Union-find cannot
-    /// un-merge, so the incremental aggregates become stale until the
-    /// next [`begin_epoch`](PartitionMonitor::begin_epoch) rebuild.
-    pub fn note_deletion(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Whether deletions since the last epoch require a rebuild before
-    /// the aggregates can be trusted.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     /// Live components this epoch.
     pub fn component_count(&self) -> u32 {
         self.components
@@ -153,11 +129,6 @@ impl PartitionMonitor {
     /// Total weight of the heaviest component this epoch.
     pub fn largest_weight(&self) -> u64 {
         self.largest
-    }
-
-    /// Sum of all inserted weights this epoch.
-    pub fn total_weight(&self) -> u64 {
-        self.total
     }
 
     /// Root of `id`'s component with two-pass path compression.
@@ -189,14 +160,12 @@ mod tests {
         }
         assert_eq!(m.component_count(), 5);
         assert_eq!(m.largest_weight(), 10);
-        assert_eq!(m.total_weight(), 50);
 
         assert!(m.union(0, 1));
         assert!(m.union(1, 2));
         assert!(!m.union(0, 2), "already connected");
         assert_eq!(m.component_count(), 3);
         assert_eq!(m.largest_weight(), 30);
-        assert_eq!(m.total_weight(), 50);
     }
 
     #[test]
@@ -204,7 +173,7 @@ mod tests {
         let mut m = PartitionMonitor::new();
         assert!(m.insert(3, 7));
         assert!(!m.insert(3, 99));
-        assert_eq!(m.total_weight(), 7);
+        assert_eq!(m.largest_weight(), 7);
         assert_eq!(m.component_count(), 1);
     }
 
@@ -223,14 +192,10 @@ mod tests {
         m.insert(0, 5);
         m.insert(1, 5);
         m.union(0, 1);
-        m.note_deletion();
-        assert!(m.is_dirty());
 
         m.begin_epoch();
-        assert!(!m.is_dirty());
         assert_eq!(m.component_count(), 0);
         assert_eq!(m.largest_weight(), 0);
-        assert_eq!(m.total_weight(), 0);
         assert!(!m.contains(0), "stale nodes are gone after the bump");
 
         // Rebuild with node 1 removed: 0 stands alone again.
@@ -317,7 +282,6 @@ mod tests {
 
         assert_eq!(m.component_count(), naive_components);
         assert_eq!(m.largest_weight(), naive_largest);
-        assert_eq!(m.total_weight(), (1..=n as u64).sum::<u64>());
     }
 
     #[test]
@@ -330,6 +294,6 @@ mod tests {
         assert_eq!(m.epoch, 1);
         assert!(!m.contains(0));
         assert!(m.insert(0, 2));
-        assert_eq!(m.total_weight(), 2);
+        assert_eq!(m.largest_weight(), 2);
     }
 }

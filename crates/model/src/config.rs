@@ -125,11 +125,6 @@ impl Config {
         self
     }
 
-    /// Whether any redundancy is configured.
-    pub fn has_redundancy(&self) -> bool {
-        self.redundancy_k > 1
-    }
-
     /// Number of clusters `n = GraphSize / ClusterSize` (Step 1 of the
     /// analysis), at least one.
     pub fn num_clusters(&self) -> usize {
@@ -211,7 +206,6 @@ mod tests {
         let r = c.clone().with_redundancy(true);
         assert_eq!(r.redundancy_k, 2);
         assert_eq!(r.mean_clients(), 8.0);
-        assert!(r.has_redundancy());
     }
 
     #[test]

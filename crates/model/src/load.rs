@@ -92,21 +92,6 @@ impl std::fmt::Display for Load {
     }
 }
 
-/// Averages an iterator of loads; zero for an empty iterator.
-pub fn mean_load<I: IntoIterator<Item = Load>>(loads: I) -> Load {
-    let mut sum = Load::ZERO;
-    let mut n = 0usize;
-    for l in loads {
-        sum += l;
-        n += 1;
-    }
-    if n == 0 {
-        Load::ZERO
-    } else {
-        sum.scaled(1.0 / n as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,27 +138,6 @@ mod tests {
         };
         assert!(ok.fits_within(&limit));
         assert!(!too_much_proc.fits_within(&limit));
-    }
-
-    #[test]
-    fn mean_of_loads() {
-        let loads = vec![
-            Load {
-                in_bw: 2.0,
-                out_bw: 0.0,
-                proc: 4.0,
-            },
-            Load {
-                in_bw: 4.0,
-                out_bw: 2.0,
-                proc: 0.0,
-            },
-        ];
-        let m = mean_load(loads);
-        assert_eq!(m.in_bw, 3.0);
-        assert_eq!(m.out_bw, 1.0);
-        assert_eq!(m.proc, 2.0);
-        assert_eq!(mean_load(std::iter::empty()), Load::ZERO);
     }
 
     #[test]

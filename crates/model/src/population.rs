@@ -113,12 +113,6 @@ impl PopulationModel {
         };
         (1.0 - self.free_rider_fraction) * sharing_mean
     }
-
-    /// Expected queries submitted per session at the given query rate —
-    /// the paper's queries-to-joins ratio (≈ 10 at the defaults).
-    pub fn queries_per_session(&self, query_rate: f64) -> f64 {
-        query_rate * self.lifespan_mean_secs
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +128,7 @@ mod tests {
     fn defaults_give_paper_ratios() {
         let p = PopulationModel::default();
         // ~10 queries per session at the Table 1 query rate.
-        let ratio = p.queries_per_session(9.26e-3);
+        let ratio = 9.26e-3 * p.lifespan_mean_secs;
         assert!((ratio - 10.0).abs() < 0.5, "queries/session = {ratio}");
         // Mean files ≈ 0.75 · 100 · e^{0.5} ≈ 124.
         assert!((p.mean_files() - 123.7).abs() < 1.0, "{}", p.mean_files());

@@ -7,9 +7,11 @@
 //! shorten sessions across the board, correlated mass departures,
 //! overlay splits that heal later, and populations whose peers differ
 //! in capacity by orders of magnitude. A [`ScenarioPlan`] composes
-//! those regimes — plus a [`FaultPlan`] and a [`RepairPolicy`] — into
-//! one validated, JSON-serializable program that both simulation
-//! engines execute deterministically (DESIGN.md §16).
+//! those regimes — plus a [`FaultPlan`], a [`RepairPolicy`] and an
+//! [`OverloadPolicy`] — into one validated, JSON-serializable program
+//! that both churn engines execute deterministically (DESIGN.md §16).
+//! It is the only place a churn run's faults, repair policy and
+//! overload policy are given.
 //!
 //! Like [`crate::faults`], the format is hand-rolled JSON (the
 //! workspace has no serialization crate) and every parse error names
@@ -278,8 +280,9 @@ impl CapacityClass {
 }
 
 /// A validated scenario: phased workload regimes, a heterogeneous
-/// capacity population, an embedded fault plan, and the repair policy
-/// the run heals with. See the module docs for the JSON grammar.
+/// capacity population, an embedded fault plan, the repair policy the
+/// run heals with, and the overload policy. See the module docs for
+/// the JSON grammar.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioPlan {
     /// Phased workload regimes (validated: no zero-duration windows,
@@ -332,16 +335,6 @@ impl ScenarioPlan {
             .validate()
             .map_err(|e| ScenarioError(e.to_string()))?;
         Ok(())
-    }
-
-    /// True when the scenario modifies nothing: no phases, a
-    /// homogeneous population, and an empty fault plan. An empty
-    /// scenario run is bitwise identical to a plain run.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-            && self.capacity_classes.is_empty()
-            && self.faults.is_empty()
-            && self.overload.is_empty()
     }
 
     /// Renders the plan as a JSON document that
@@ -687,10 +680,11 @@ mod tests {
     #[test]
     fn empty_plan_round_trips_and_is_empty() {
         let plan = ScenarioPlan::default();
-        assert!(plan.is_empty());
+        assert!(plan.phases.is_empty() && plan.capacity_classes.is_empty());
+        assert!(plan.faults.is_empty() && plan.overload.is_empty());
         let back = ScenarioPlan::from_json(&plan.to_json()).unwrap();
         assert_eq!(plan, back);
-        assert!(!sample_plan().is_empty());
+        assert_ne!(sample_plan(), plan);
     }
 
     #[test]

@@ -33,8 +33,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPSN";
 /// Current snapshot schema version. Bump on any payload layout change;
 /// readers reject snapshots from other versions by name. Version 2
 /// added the overload-control policy and runtime state; version 3
-/// dropped the five fixed engine delays from the encoded options.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// dropped the five fixed engine delays from the encoded options;
+/// version 4 made a churn snapshot's header config, options, and one
+/// scenario plan, which alone carries the faults, repair policy, and
+/// overload policy.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Engine tag: the fast churn engine (`sp_sim::engine::Simulation`).
 pub const ENGINE_FAST: u8 = 1;

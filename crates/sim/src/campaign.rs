@@ -65,6 +65,7 @@ use sp_model::repair::RepairPolicy;
 use sp_model::scenario::{
     CapacityClass, PhaseKind, PhaseSpec, ScenarioPlan, SCENARIO_SCHEMA_VERSION,
 };
+use sp_model::snapshot::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use sp_model::trials::panic_message;
 use sp_stats::SpRng;
 
@@ -1030,18 +1031,11 @@ fn generate_plan(rng: &mut SpRng, config: &Config, duration: f64) -> ScenarioPla
     plan
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a run's full metrics (the derived `Debug` rendering is
 /// deterministic, including shortest-round-trip float formatting, so
 /// the fingerprint moves iff any field's bits move).
 fn fingerprint(metrics: &RawMetrics) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in format!("{metrics:?}").bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a(format!("{metrics:?}").as_bytes())
 }
 
 /// Folds one scenario fingerprint into the campaign fingerprint

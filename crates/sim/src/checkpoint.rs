@@ -5,7 +5,9 @@
 //! half of an engine snapshot — [`Config`], [`SimOptions`], and the
 //! public metrics structs — so the fast, reference, and sharded
 //! engines can all embed a self-describing header and a restored run
-//! needs no flags beyond `--resume <file>`.
+//! needs no flags beyond `--resume <file>`. A churn run's faults,
+//! repair policy, and overload policy are not options: they travel
+//! once, inside the scenario plan's JSON.
 //!
 //! Everything here is a straight field-by-field binary codec: floats
 //! travel as bits, enums as explicit tags, and every reader validates
@@ -15,10 +17,8 @@
 use sp_model::config::{Config, GraphType};
 use sp_model::costs::{CostModel, GeneralStats};
 use sp_model::load::Load;
-use sp_model::overload::{BrownoutConfig, OverloadPolicy, ShedDiscipline};
 use sp_model::population::{FileTail, PopulationModel};
 use sp_model::query_model::QueryModelConfig;
-use sp_model::repair::RepairPolicy;
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use sp_stats::OnlineStats;
 
@@ -147,73 +147,8 @@ pub(crate) fn snap_opts(o: &SimOptions, w: &mut SnapWriter) {
         }
     }
     w.u64(o.fault_seed);
-    w.u8(match o.repair {
-        RepairPolicy::Off => 0,
-        RepairPolicy::Promote => 1,
-        RepairPolicy::PromotePartner => 2,
-    });
     w.u64(o.scenario_seed);
     w.bool(o.profile);
-    snap_overload_policy(&o.overload, w);
-}
-
-/// Writes an [`OverloadPolicy`] into a snapshot payload.
-pub(crate) fn snap_overload_policy(p: &OverloadPolicy, w: &mut SnapWriter) {
-    w.f64(p.service_rate);
-    w.u32(p.queue_capacity);
-    w.u8(match p.discipline {
-        ShedDiscipline::RejectAtAdmission => 0,
-        ShedDiscipline::DropOldest => 1,
-        ShedDiscipline::DropLowestTtl => 2,
-    });
-    w.f64(p.client_tokens_per_sec);
-    w.f64(p.client_token_burst);
-    match p.brownout {
-        None => w.bool(false),
-        Some(b) => {
-            w.bool(true);
-            w.f64(b.enter_backlog_secs);
-            w.f64(b.exit_backlog_secs);
-            w.f64(b.min_dwell_secs);
-            w.u16(b.ttl_decrement);
-            w.u32(b.fanout_limit);
-        }
-    }
-    w.u32(p.rehome_strikes);
-}
-
-/// Reads a policy written by [`snap_overload_policy`].
-pub(crate) fn unsnap_overload_policy(
-    r: &mut SnapReader<'_>,
-) -> Result<OverloadPolicy, SnapshotError> {
-    Ok(OverloadPolicy {
-        service_rate: r.f64("overload service_rate")?,
-        queue_capacity: r.u32("overload queue_capacity")?,
-        discipline: match r.u8("overload discipline tag")? {
-            0 => ShedDiscipline::RejectAtAdmission,
-            1 => ShedDiscipline::DropOldest,
-            2 => ShedDiscipline::DropLowestTtl,
-            tag => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown shed discipline tag {tag}"
-                )))
-            }
-        },
-        client_tokens_per_sec: r.f64("overload client_tokens_per_sec")?,
-        client_token_burst: r.f64("overload client_token_burst")?,
-        brownout: if r.bool("overload has brownout")? {
-            Some(BrownoutConfig {
-                enter_backlog_secs: r.f64("brownout enter")?,
-                exit_backlog_secs: r.f64("brownout exit")?,
-                min_dwell_secs: r.f64("brownout dwell")?,
-                ttl_decrement: r.u16("brownout ttl_decrement")?,
-                fanout_limit: r.u32("brownout fanout_limit")?,
-            })
-        } else {
-            None
-        },
-        rehome_strikes: r.u32("overload rehome_strikes")?,
-    })
 }
 
 /// Reads [`SimOptions`] written by [`snap_opts`].
@@ -245,19 +180,8 @@ pub(crate) fn unsnap_opts(r: &mut SnapReader<'_>) -> Result<SimOptions, Snapshot
             }
         },
         fault_seed: r.u64("opts fault_seed")?,
-        repair: match r.u8("opts repair tag")? {
-            0 => RepairPolicy::Off,
-            1 => RepairPolicy::Promote,
-            2 => RepairPolicy::PromotePartner,
-            tag => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown repair policy tag {tag}"
-                )))
-            }
-        },
         scenario_seed: r.u64("opts scenario_seed")?,
         profile: r.bool("opts profile")?,
-        overload: unsnap_overload_policy(r)?,
     })
 }
 

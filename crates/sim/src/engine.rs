@@ -81,12 +81,9 @@
 use sp_design::local_rules::{advise, LocalAction, LocalView};
 use sp_graph::PartitionMonitor;
 use sp_model::config::Config;
-use sp_model::faults::FaultPlan;
 use sp_model::instance::{NetworkInstance, Topology};
 use sp_model::load::Load;
-use sp_model::overload::OverloadPolicy;
 use sp_model::query_model::QueryModel;
-use sp_model::repair::RepairPolicy;
 use sp_model::scenario::ScenarioPlan;
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError, ENGINE_FAST};
 use sp_stats::dist::Normal;
@@ -161,15 +158,10 @@ pub struct SimOptions {
     /// Query forwarding policy.
     pub forward_policy: ForwardPolicy,
     /// Seed of the *dedicated* fault-injection RNG stream (see
-    /// [`crate::faults`]). Ignored when no fault plan is supplied;
-    /// changing it never perturbs the main churn/query schedule.
+    /// [`crate::faults`]). Ignored when the scenario plan injects no
+    /// faults; changing it never perturbs the main churn/query
+    /// schedule.
     pub fault_seed: u64,
-    /// Overlay self-healing policy (see [`sp_model::repair`]): what a
-    /// cluster does when fault injection kills every partner.
-    /// [`RepairPolicy::Off`] keeps the legacy dissolve-and-orphan
-    /// behavior; repair never engages on organic churn, so with an
-    /// empty fault plan every policy is bitwise identical.
-    pub repair: RepairPolicy,
     /// Seed of the *dedicated* scenario RNG stream (see
     /// [`crate::phases`]). Ignored when no scenario plan is supplied;
     /// changing it never perturbs the main churn/query schedule.
@@ -177,10 +169,6 @@ pub struct SimOptions {
     /// Record per-event-type wall-time histograms (two `Instant::now`
     /// calls per event — leave off for throughput benchmarks).
     pub profile: bool,
-    /// Overload-control policy (see [`sp_model::overload`]). The empty
-    /// policy is bitwise inert: no admission gate, no queues, no
-    /// counters, identical metrics to a build without the subsystem.
-    pub overload: OverloadPolicy,
 }
 
 impl Default for SimOptions {
@@ -191,10 +179,8 @@ impl Default for SimOptions {
             adapt: None,
             forward_policy: ForwardPolicy::FloodAll,
             fault_seed: 0,
-            repair: RepairPolicy::Off,
             scenario_seed: 0,
             profile: false,
-            overload: OverloadPolicy::default(),
         }
     }
 }
@@ -259,7 +245,8 @@ pub struct RawMetrics {
     /// Overlay-repair counters and the reachability timeline. The
     /// timeline is populated in every run (sample ticks, post-crash
     /// probes, final state); the repair counters only move when fault
-    /// injection meets a promoting [`RepairPolicy`].
+    /// injection meets a promoting
+    /// [`RepairPolicy`](sp_model::repair::RepairPolicy).
     pub repair: RepairMetrics,
     /// Overload-control counters, latency histogram, and queue
     /// timeline (all zero/empty without an active overload policy).
@@ -415,9 +402,8 @@ pub struct ChurnEngine<M: Mechanics> {
     /// Per-cluster-slot headless-window state, grown on demand (the
     /// fast mechanics keep it sized to the cluster slab).
     repair_pending: Vec<RepairPending>,
-    /// Union-find over the live super-peer overlay, epoch-rebuilt at
-    /// each reachability observation (churn makes it dirty between
-    /// any two observations, so the rebuild path is the common case).
+    /// Union-find over the live super-peer overlay, rebuilt at each
+    /// reachability observation.
     monitor: PartitionMonitor,
     /// Whether the current `on_leave` cascade was initiated by a
     /// fault-plan crash — repair only ever engages on injected
@@ -439,49 +425,29 @@ pub struct ChurnEngine<M: Mechanics> {
 impl<M: Mechanics> ChurnEngine<M> {
     /// Builds a simulation from a configuration: generates an
     /// `sp-model` instance, mirrors it into mutable state, and
-    /// schedules every peer's initial events.
+    /// schedules every peer's initial events. The run plays the empty
+    /// [`ScenarioPlan`]: no phases, faults, repair, or overload control.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: &Config, opts: SimOptions) -> Self {
-        Self::with_faults(config, opts, &FaultPlan::default())
+        Self::with_scenario(config, opts, &ScenarioPlan::default())
     }
 
-    /// Builds a simulation that injects the given fault plan. The plan
-    /// drives a dedicated RNG stream seeded from `opts.fault_seed`, so
-    /// an empty plan is bitwise identical to [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or the fault plan is invalid.
-    pub fn with_faults(config: &Config, opts: SimOptions, plan: &FaultPlan) -> Self {
-        Self::build(config, opts, plan, &ScenarioPlan::default())
-    }
-
-    /// Builds a simulation that plays the given scenario plan: phased
-    /// workload programs (flash crowds, churn bursts, mass leaves,
-    /// split windows), capacity classes, the plan's embedded fault
-    /// plan, and the plan's repair policy — which **overrides**
-    /// `opts.repair`, so a scenario file is self-contained. Phase
-    /// randomness draws from a dedicated stream seeded from
-    /// `opts.scenario_seed`; an empty plan is bitwise identical to
-    /// [`new`](Self::new).
+    /// Builds a simulation that plays the given scenario plan, the one
+    /// description of everything a run does beyond steady-state churn:
+    /// phased workload programs (flash crowds, churn bursts, mass
+    /// leaves, split windows), capacity classes, the fault plan, the
+    /// repair policy, and the overload policy. Fault and phase
+    /// randomness draw from dedicated streams seeded from
+    /// `opts.fault_seed` and `opts.scenario_seed`; an empty plan is
+    /// bitwise identical to [`new`](Self::new) whatever those seeds.
     ///
     /// # Panics
     ///
     /// Panics if the configuration or the scenario plan is invalid.
     pub fn with_scenario(config: &Config, opts: SimOptions, plan: &ScenarioPlan) -> Self {
-        let mut opts = opts;
-        opts.repair = plan.repair;
-        if !plan.overload.is_empty() {
-            opts.overload = plan.overload;
-        }
-        Self::build(config, opts, &plan.faults, plan)
-    }
-
-    fn build(config: &Config, opts: SimOptions, plan: &FaultPlan, scenario: &ScenarioPlan) -> Self {
-        plan.validate().expect("invalid fault plan");
         #[allow(
             clippy::disallowed_methods,
             reason = "R1b seed root: a run's instance and engine streams"
@@ -496,13 +462,13 @@ impl<M: Mechanics> ChurnEngine<M> {
             model: QueryModel::from_config(&config.query_model),
             opts,
             metrics: RawMetrics::default(),
-            faults: FaultState::new(plan.clone(), opts.fault_seed),
+            faults: FaultState::new(plan.faults.clone(), opts.fault_seed),
             repair_pending: Vec::new(),
             monitor: PartitionMonitor::new(),
             in_fault_crash: false,
-            scenario: ScenarioState::new(scenario, opts.scenario_seed),
-            overload: OverloadState::new(opts.overload),
-            scenario_plan: scenario.clone(),
+            scenario: ScenarioState::new(plan, opts.scenario_seed),
+            overload: OverloadState::new(plan.overload),
+            scenario_plan: plan.clone(),
             mech: M::fresh(),
         };
         sim.bootstrap(&inst);
@@ -526,24 +492,18 @@ impl<M: Mechanics> ChurnEngine<M> {
         self.mech.delivered()
     }
 
-    /// Whether overload control is active for this run (from the
-    /// options on a fresh run, or the snapshot on a restored one).
+    /// Whether the plan's overload policy is active for this run.
     pub fn overload_active(&self) -> bool {
         self.overload.active()
     }
 
-    /// The options this run uses (restored ones on a restored run; on a
-    /// scenario run, with the plan's repair and overload policy).
+    /// The options this run uses (restored ones on a restored run).
     pub fn options(&self) -> &SimOptions {
         &self.opts
     }
 
-    /// The fault plan this run injects (a scenario run's embedded plan).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
-    /// The scenario plan this run plays (empty when there is none).
+    /// The scenario plan this run plays: its faults, repair policy, and
+    /// overload policy included (empty for a plain run).
     pub fn scenario_plan(&self) -> &ScenarioPlan {
         &self.scenario_plan
     }
@@ -594,7 +554,6 @@ impl<M: Mechanics> ChurnEngine<M> {
         let mut w = SnapWriter::new();
         checkpoint::snap_config(&self.config, &mut w);
         checkpoint::snap_opts(&self.opts, &mut w);
-        w.str(&self.faults.plan().to_json());
         w.str(&self.scenario_plan.to_json());
         w.f64(self.now);
         for s in self.rng.state() {
@@ -619,11 +578,11 @@ impl<M: Mechanics> ChurnEngine<M> {
     /// [`run_to`](Self::run_to) steps) yields metrics bitwise identical
     /// to the uninterrupted run.
     ///
-    /// The embedded config and plans are re-validated, so a crafted or
+    /// The embedded config and plan are re-validated, so a crafted or
     /// corrupted payload fails with a named [`SnapshotError`] instead
     /// of panicking; derived state (query model, fault windows,
-    /// scenario tables) is rebuilt from them rather than trusted from
-    /// the wire.
+    /// scenario tables, the overload runtime's policy) is rebuilt from
+    /// them rather than trusted from the wire.
     #[allow(
         clippy::disallowed_methods,
         reason = "R1b seed root: a checkpoint restores the engine RNG position"
@@ -636,15 +595,8 @@ impl<M: Mechanics> ChurnEngine<M> {
             .validate()
             .map_err(|e| SnapshotError::Malformed(format!("embedded config: {e}")))?;
         let opts = checkpoint::unsnap_opts(&mut r)?;
-        let fault_plan = FaultPlan::from_json(r.str("fault plan json")?)
-            .map_err(|e| SnapshotError::Malformed(format!("embedded fault plan: {e}")))?;
-        fault_plan
-            .validate()
-            .map_err(|e| SnapshotError::Malformed(format!("embedded fault plan: {e}")))?;
+        // `from_json` validates the plan, faults and policies included.
         let scenario_plan = ScenarioPlan::from_json(r.str("scenario plan json")?)
-            .map_err(|e| SnapshotError::Malformed(format!("embedded scenario plan: {e}")))?;
-        scenario_plan
-            .validate()
             .map_err(|e| SnapshotError::Malformed(format!("embedded scenario plan: {e}")))?;
         let now = r.f64("now")?;
         let mut rng_state = [0u64; 4];
@@ -655,12 +607,12 @@ impl<M: Mechanics> ChurnEngine<M> {
         let net = SimNetwork::unsnap(&mut r)?;
         let metrics = checkpoint::unsnap_raw_metrics(&mut r)?;
         mech.unsnap_counters(&mut r)?;
-        let mut faults = FaultState::new(fault_plan, opts.fault_seed);
+        let mut faults = FaultState::new(scenario_plan.faults.clone(), opts.fault_seed);
         faults.unsnap_state(&mut r)?;
         let repair_pending = checkpoint::unsnap_repair_pending(&mut r)?;
         let mut scenario = ScenarioState::new(&scenario_plan, opts.scenario_seed);
         scenario.unsnap_state(&mut r)?;
-        let overload = OverloadState::unsnap_state(opts.overload, &mut r)?;
+        let overload = OverloadState::unsnap_state(scenario_plan.overload, &mut r)?;
         mech.unsnap_timers(&mut r)?;
         let in_fault_crash = r.bool("in_fault_crash")?;
         r.finish()?;
@@ -1218,7 +1170,7 @@ impl<M: Mechanics> ChurnEngine<M> {
     /// churn keeps the legacy behavior, so an empty fault plan is
     /// bitwise inert), and only when a client remains to be elected.
     fn repair_engages(&self, c: ClusterId) -> bool {
-        self.opts.repair.promotes()
+        self.scenario_plan.repair.promotes()
             && self.in_fault_crash
             && !self.net.clusters[c as usize]
                 .as_ref()
@@ -1386,7 +1338,7 @@ impl<M: Mechanics> ChurnEngine<M> {
         // Restore k-redundancy through the ordinary recruitment
         // machinery (full index mirroring charged by
         // `charge_index_transfer`).
-        if self.opts.repair.recruits_partner() && self.config.redundancy_k > 1 {
+        if self.scenario_plan.repair.recruits_partner() && self.config.redundancy_k > 1 {
             self.metrics.repair.partner_recruitments += 1;
             self.mech.schedule(
                 self.now + RECRUIT_DELAY_SECS,
@@ -2227,15 +2179,6 @@ pub type Simulation = ChurnEngine<FastMechanics>;
 pub struct FastMechanics {
     queue: IndexedEventQueue,
     obs: SimMetrics,
-    /// Fault counters retained past `run`'s `mem::take` so the
-    /// post-run manifest can render the recovery section.
-    faults_final: FaultMetrics,
-    /// Repair counters retained past `run`'s `mem::take` (mirrors
-    /// `faults_final`).
-    repair_final: RepairMetrics,
-    /// Overload ledger retained past `run`'s `mem::take` (mirrors
-    /// `faults_final`) so the manifest can render the overload section.
-    overload_final: OverloadMetrics,
     // Per-peer-slot handles for the (at most one) outstanding timer of
     // each kind, cancelled when the peer departs so the queue never
     // accumulates tombstones.
@@ -2264,9 +2207,6 @@ impl FastMechanics {
         FastMechanics {
             queue,
             obs: SimMetrics::default(),
-            faults_final: FaultMetrics::default(),
-            repair_final: RepairMetrics::default(),
-            overload_final: OverloadMetrics::default(),
             leave_h: Vec::new(),
             query_h: Vec::new(),
             update_h: Vec::new(),
@@ -2434,9 +2374,6 @@ impl Mechanics for FastMechanics {
         let mech = &mut engine.mech;
         mech.obs.queue_high_water = mech.queue.high_water();
         mech.obs.profiled = engine.opts.profile;
-        mech.faults_final = engine.metrics.faults.clone();
-        mech.repair_final = engine.metrics.repair.clone();
-        mech.overload_final = engine.metrics.overload.clone();
     }
 
     fn snap_queue(&self, w: &mut SnapWriter) {
@@ -2530,12 +2467,11 @@ impl Simulation {
         &self.mech.obs
     }
 
-    /// Builds the structured run manifest, given the measured
-    /// wall-clock time of the run.
-    pub fn manifest(&self, wall_secs: f64) -> RunManifest {
-        // `manifest` may be called mid-run (before `run`'s final
-        // `mem::take`): fall back to the live counters.
-        let mech = &self.mech;
+    /// Builds the structured run manifest from the metrics
+    /// [`run`](ChurnEngine::run) returned and the measured wall-clock
+    /// time of the run.
+    pub fn manifest(&self, metrics: &RawMetrics, wall_secs: f64) -> RunManifest {
+        let plan = &self.scenario_plan;
         RunManifest {
             seed: self.opts.seed,
             duration_secs: self.opts.duration_secs,
@@ -2543,26 +2479,14 @@ impl Simulation {
             cluster_size: self.config.cluster_size,
             redundancy_k: self.config.redundancy_k,
             wall_secs,
-            metrics: mech.obs.clone(),
+            metrics: self.mech.obs.clone(),
             fault_seed: self.opts.fault_seed,
-            fault_plan_len: self.faults.plan().faults.len(),
-            faults: if mech.faults_final == FaultMetrics::default() {
-                self.metrics.faults.clone()
-            } else {
-                mech.faults_final.clone()
-            },
-            repair_policy: self.opts.repair,
-            repair: if mech.repair_final == RepairMetrics::default() {
-                self.metrics.repair.clone()
-            } else {
-                mech.repair_final.clone()
-            },
-            overload_policy: self.opts.overload,
-            overload: if mech.overload_final == OverloadMetrics::default() {
-                self.metrics.overload.clone()
-            } else {
-                mech.overload_final.clone()
-            },
+            fault_plan_len: plan.faults.faults.len(),
+            faults: metrics.faults.clone(),
+            repair_policy: plan.repair,
+            repair: metrics.repair.clone(),
+            overload_policy: plan.overload,
+            overload: metrics.overload.clone(),
         }
     }
 
@@ -3114,6 +3038,68 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_carries_the_plan_once() {
+        // Faults, repair, and overload control travel only inside the
+        // plan: a checkpoint taken between a crash wave and its repair
+        // elections restores the same plan and resumes bitwise.
+        use sp_model::overload::OverloadPolicy;
+        use sp_model::population::PopulationModel;
+        use sp_model::repair::RepairPolicy;
+        let cfg = Config {
+            population: PopulationModel {
+                lifespan_mean_secs: 400.0,
+                ..Default::default()
+            },
+            ..small_config()
+        }
+        .with_redundancy(true);
+        let plan = ScenarioPlan {
+            faults: crate::scenario::crash_storm_plan(900.0),
+            repair: RepairPolicy::PromotePartner,
+            overload: OverloadPolicy::sized_for(&cfg),
+            ..ScenarioPlan::default()
+        };
+        let opts = SimOptions {
+            duration_secs: 900.0,
+            seed: 42,
+            fault_seed: 7,
+            ..Default::default()
+        };
+        let full = Simulation::with_scenario(&cfg, opts, &plan).run();
+        assert!(full.repair.promotions > 0 && full.overload.delivered > 0);
+
+        let mut head = Simulation::with_scenario(&cfg, opts, &plan);
+        head.run_to(226.0); // first wave at 225 s, elections at 230 s
+        let mut resumed = Simulation::restore(&head.snapshot()).expect("restore");
+        assert_eq!(resumed.scenario_plan(), &plan);
+        assert!(resumed.overload_active());
+        assert_eq!(full, resumed.run());
+    }
+
+    #[test]
+    fn version_3_snapshots_are_refused_by_name() {
+        let cfg = small_config();
+        let mut fast = Simulation::new(&cfg, SimOptions::default());
+        fast.run_to(50.0);
+        let mut reference = crate::reference::ReferenceSimulation::new(&cfg, SimOptions::default());
+        reference.run_to(50.0);
+        let v3 = |mut snap: Vec<u8>| {
+            snap[4..8].copy_from_slice(&3u32.to_le_bytes());
+            snap
+        };
+        let refused = SnapshotError::UnsupportedVersion {
+            found: 3,
+            supported: 4,
+        };
+        let fast_err = Simulation::restore(&v3(fast.snapshot())).err();
+        assert_eq!(fast_err, Some(refused.clone()));
+        let reference_err =
+            crate::reference::ReferenceSimulation::restore(&v3(reference.snapshot())).err();
+        assert_eq!(reference_err, Some(refused.clone()));
+        assert!(refused.to_string().contains("version 3"));
+    }
+
+    #[test]
     fn churn_triggers_failures_without_redundancy() {
         let cfg = Config {
             graph_size: 100,
@@ -3262,7 +3248,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        sim.run();
+        let m = sim.run();
         let obs = sim.observability();
         assert!(obs.profiled);
         assert_eq!(
@@ -3270,7 +3256,7 @@ mod tests {
             obs.delivered_of(EventKind::Query)
         );
         assert!(obs.wall[EventKind::Query as usize].mean_ns() > 0.0);
-        let manifest = sim.manifest(1.0);
+        let manifest = sim.manifest(&m, 1.0);
         assert!(manifest.to_json().contains("\"profiled\": true"));
         assert!(manifest.events_per_sec() > 0.0);
     }

@@ -335,11 +335,6 @@ impl FaultState {
         !self.plan.faults.is_empty()
     }
 
-    /// The plan driving this state.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The retry policy in force.
     pub fn retry(&self) -> &RetryPolicy {
         &self.plan.retry

@@ -23,6 +23,7 @@ use sp_model::config::Config;
 use sp_model::faults::{FaultPlan, FaultSpec};
 use sp_model::load::Load;
 use sp_model::repair::RepairPolicy;
+use sp_model::scenario::ScenarioPlan;
 use sp_model::trials::fan_out;
 use sp_stats::{ConfidenceInterval, OnlineStats, SpRng};
 
@@ -296,16 +297,19 @@ pub fn crash_storm(
     fault_seed: u64,
     repair: RepairPolicy,
 ) -> CrashStormComparison {
-    let plan = crash_storm_plan(duration_secs);
+    let plan = ScenarioPlan {
+        faults: crash_storm_plan(duration_secs),
+        repair,
+        ..ScenarioPlan::default()
+    };
     let storm_from = duration_secs * 0.25; // first crash wave
     let run = |cfg: &Config| {
-        let mut sim = Simulation::with_faults(
+        let mut sim = Simulation::with_scenario(
             cfg,
             SimOptions {
                 duration_secs,
                 seed,
                 fault_seed,
-                repair,
                 ..Default::default()
             },
             &plan,

@@ -366,9 +366,10 @@ proptest! {
             fault_seed,
             ..Default::default()
         };
-        let mut fast = Simulation::with_faults(&cfg, opts, &plan);
+        let scenario = ScenarioPlan { faults: plan.clone(), ..ScenarioPlan::default() };
+        let mut fast = Simulation::with_scenario(&cfg, opts, &scenario);
         let fast_metrics = fast.run();
-        let mut reference = ReferenceSimulation::with_faults(&cfg, opts, &plan);
+        let mut reference = ReferenceSimulation::with_scenario(&cfg, opts, &scenario);
         let reference_metrics = reference.run();
         prop_assert_eq!(&fast_metrics, &reference_metrics,
             "engines diverged under plan {:?}", &plan);
@@ -397,7 +398,6 @@ proptest! {
         fault_seed in any::<u64>(),
     ) {
         use sp_model::config::Config;
-        use sp_model::repair::RepairPolicy;
         use sp_sim::engine::{SimOptions, Simulation};
         use sp_sim::reference::ReferenceSimulation;
         let cfg = Config {
@@ -410,12 +410,16 @@ proptest! {
             duration_secs: 300.0,
             seed,
             fault_seed,
-            repair: RepairPolicy::PromotePartner,
             ..Default::default()
         };
-        let mut fast = Simulation::with_faults(&cfg, opts, &plan);
+        let healed = ScenarioPlan {
+            faults: plan.clone(),
+            repair: RepairPolicy::PromotePartner,
+            ..ScenarioPlan::default()
+        };
+        let mut fast = Simulation::with_scenario(&cfg, opts, &healed);
         let repaired = fast.run();
-        let mut reference = ReferenceSimulation::with_faults(&cfg, opts, &plan);
+        let mut reference = ReferenceSimulation::with_scenario(&cfg, opts, &healed);
         let reference_metrics = reference.run();
         prop_assert_eq!(&repaired, &reference_metrics,
             "engines diverged with repair under plan {:?}", &plan);
@@ -427,10 +431,10 @@ proptest! {
             repaired.faults.queries_issued - repaired.faults.queries_lost,
             "flooded queries must be issued minus lost"
         );
-        let unrepaired = Simulation::with_faults(
+        let unrepaired = Simulation::with_scenario(
             &cfg,
-            SimOptions { repair: RepairPolicy::Off, ..opts },
-            &plan,
+            opts,
+            &ScenarioPlan { repair: RepairPolicy::Off, ..healed },
         )
         .run();
         prop_assert!(

@@ -25,29 +25,16 @@ use sp_sim::scenario::{
 use sp_sim::shard::{ScaleOptions, ShardedSimulation};
 
 fn assert_engines_agree(label: &str, config: &Config, opts: SimOptions) {
-    assert_engines_agree_with_faults(label, config, opts, &FaultPlan::default());
+    assert_engines_agree_with_scenario(label, config, opts, &ScenarioPlan::default());
 }
 
-fn assert_engines_agree_with_faults(
-    label: &str,
-    config: &Config,
-    opts: SimOptions,
-    plan: &FaultPlan,
-) {
-    let mut fast = Simulation::with_faults(config, opts, plan);
-    let fast_metrics = fast.run();
-    let mut reference = ReferenceSimulation::with_faults(config, opts, plan);
-    let reference_metrics = reference.run();
-    assert_eq!(
-        fast_metrics, reference_metrics,
-        "engines diverged on {label} (seed {})",
-        opts.seed
-    );
-    assert_eq!(
-        fast.events_delivered(),
-        reference.events_delivered(),
-        "delivered-event counts diverged on {label}",
-    );
+/// The plan of a fault-injection run: `faults` healed under `repair`.
+fn fault_plan(faults: &FaultPlan, repair: RepairPolicy) -> ScenarioPlan {
+    ScenarioPlan {
+        faults: faults.clone(),
+        repair,
+        ..ScenarioPlan::default()
+    }
 }
 
 fn assert_engines_agree_with_scenario(
@@ -269,11 +256,12 @@ fn empty_overload_policy_is_bitwise_inert() {
         ..Default::default()
     };
     let plain = Simulation::new(&config, opts).run();
-    let with_empty = Simulation::new(
+    let with_empty = Simulation::with_scenario(
         &config,
-        SimOptions {
+        opts,
+        &ScenarioPlan {
             overload: sp_model::overload::OverloadPolicy::default(),
-            ..opts
+            ..ScenarioPlan::default()
         },
     )
     .run();
@@ -489,17 +477,16 @@ fn engines_agree_under_fault_plans() {
                 // engines, including the Section 5.3 election and the
                 // headless-window charging it implies.
                 for repair in RepairPolicy::ALL {
-                    assert_engines_agree_with_faults(
+                    assert_engines_agree_with_scenario(
                         label,
                         &config,
                         SimOptions {
                             duration_secs: 1200.0,
                             seed: 7,
                             fault_seed,
-                            repair,
                             ..Default::default()
                         },
-                        &plan,
+                        &fault_plan(&plan, repair),
                     );
                 }
             }
@@ -520,14 +507,13 @@ fn engines_agree_on_repair_under_adaptation() {
         },
         ..Config::default()
     };
-    assert_engines_agree_with_faults(
+    assert_engines_agree_with_scenario(
         "adaptive crash storm with repair",
         &config,
         SimOptions {
             duration_secs: 1200.0,
             seed: 5,
             fault_seed: 5,
-            repair: RepairPolicy::PromotePartner,
             adapt: Some(AdaptSettings {
                 interval_secs: 60.0,
                 limit: Load {
@@ -538,7 +524,7 @@ fn engines_agree_on_repair_under_adaptation() {
             }),
             ..Default::default()
         },
-        &crash_storm_plan(1200.0),
+        &fault_plan(&crash_storm_plan(1200.0), RepairPolicy::PromotePartner),
     );
 }
 
@@ -564,14 +550,13 @@ fn empty_fault_plan_is_bitwise_inert() {
     // only answers fault-injected crashes), so the run must be
     // byte-for-byte the no-fault run.
     for repair in RepairPolicy::ALL {
-        let with_empty_plan = Simulation::with_faults(
+        let with_empty_plan = Simulation::with_scenario(
             &config,
             SimOptions {
                 fault_seed: 0xDEAD,
-                repair,
                 ..opts
             },
-            &FaultPlan::default(),
+            &fault_plan(&FaultPlan::default(), repair),
         )
         .run();
         assert_eq!(
@@ -923,13 +908,13 @@ fn plain_churn_metrics_are_pinned() {
 #[test]
 fn crash_storm_repair_metrics_are_pinned() {
     let config = pin_config().with_redundancy(true);
-    let opts = SimOptions {
-        repair: RepairPolicy::PromotePartner,
-        ..pin_opts()
-    };
-    let plan = crash_storm_plan(opts.duration_secs);
-    let fast = Simulation::with_faults(&config, opts, &plan).run();
-    let reference = ReferenceSimulation::with_faults(&config, opts, &plan).run();
+    let opts = pin_opts();
+    let plan = fault_plan(
+        &crash_storm_plan(opts.duration_secs),
+        RepairPolicy::PromotePartner,
+    );
+    let fast = Simulation::with_scenario(&config, opts, &plan).run();
+    let reference = ReferenceSimulation::with_scenario(&config, opts, &plan).run();
     assert_eq!(
         fast, reference,
         "engines diverged on the pinned crash storm"
@@ -998,12 +983,12 @@ fn mid_run_snapshot_bytes_are_pinned() {
     let mut fast = Simulation::with_scenario(&config, pin_opts(), &plan);
     fast.run_to(450.0);
     let hash = fnv1a(&fast.snapshot());
-    assert_eq!(hash, 0x0e5b_1f87_9413_e779, "fast snapshot: {hash:#018x}");
+    assert_eq!(hash, 0x3dee_0b6c_b5bb_c0d1, "fast snapshot: {hash:#018x}");
     let mut reference = ReferenceSimulation::with_scenario(&config, pin_opts(), &plan);
     reference.run_to(450.0);
     let hash = fnv1a(&reference.snapshot());
     assert_eq!(
-        hash, 0x1d26_74d4_2387_034a,
+        hash, 0x0ed1_e508_58fb_4d71,
         "reference snapshot: {hash:#018x}"
     );
 }

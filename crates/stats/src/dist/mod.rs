@@ -8,20 +8,19 @@
 //!   distributions from Saroiu et al. — [`LogNormal`] and
 //!   [`BoundedPareto`];
 //! * query popularity `g(j)` of the Appendix B query model — [`Zipf`];
-//! * arbitrary measured discrete data — [`Empirical`] (alias method).
+//! * Poisson result counts of the churn engine's query probes —
+//!   [`Poisson`].
 //!
 //! Each distribution exposes `sample(&mut SpRng)` plus its analytic
 //! moments where they exist, so tests can verify the samplers against
 //! closed forms.
 
-mod empirical;
 mod lognormal;
 mod normal;
 mod pareto;
 mod poisson;
 mod zipf;
 
-pub use empirical::{Empirical, EmpiricalError};
 pub use lognormal::LogNormal;
 pub use normal::{Normal, TruncatedDiscreteNormal};
 pub use pareto::BoundedPareto;

@@ -17,8 +17,7 @@
 //! * [`dist`] — the distributions the paper draws from: normal
 //!   (cluster sizes), log-normal (file counts, session lifespans), Zipf
 //!   (query popularity `g(j)` of Appendix B), bounded Pareto
-//!   (heavy-tailed alternatives), and empirical/weighted-discrete
-//!   sampling via the alias method.
+//!   (heavy-tailed alternatives), and Poisson (result counts).
 //! * [`summary`] — streaming Welford moments and Student-t 95%
 //!   confidence intervals (Step 4 of the paper's analysis pipeline).
 //! * [`histogram`] — per-key grouped statistics (Figures 7 and 8 plot
@@ -42,9 +41,7 @@ pub mod percentile;
 pub mod rng;
 pub mod summary;
 
-pub use dist::{
-    BoundedPareto, Empirical, LogNormal, Normal, Poisson, TruncatedDiscreteNormal, Zipf,
-};
+pub use dist::{BoundedPareto, LogNormal, Normal, Poisson, TruncatedDiscreteNormal, Zipf};
 pub use histogram::GroupedStats;
 pub use percentile::{quantile, rank_curve};
 pub use rng::SpRng;

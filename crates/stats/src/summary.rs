@@ -196,19 +196,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, x: f64) -> bool {
         x >= self.low() && x <= self.high()
     }
-
-    /// Relative half-width (`half_width / |mean|`); `inf` for a zero
-    /// mean with nonzero width. Convenient for "is this estimate tight
-    /// enough" checks in adaptive trial loops.
-    pub fn relative_width(&self) -> f64 {
-        if self.half_width == 0.0 {
-            0.0
-        } else if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 impl std::fmt::Display for ConfidenceInterval {
@@ -351,21 +338,5 @@ mod tests {
         };
         let s = ci.to_string();
         assert!(s.contains('±'), "display: {s}");
-    }
-
-    #[test]
-    fn relative_width_edge_cases() {
-        let zero = ConfidenceInterval {
-            mean: 0.0,
-            half_width: 0.0,
-            count: 5,
-        };
-        assert_eq!(zero.relative_width(), 0.0);
-        let degenerate = ConfidenceInterval {
-            mean: 0.0,
-            half_width: 1.0,
-            count: 5,
-        };
-        assert!(degenerate.relative_width().is_infinite());
     }
 }

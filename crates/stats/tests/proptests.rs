@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sp_stats::dist::Sampler;
-use sp_stats::{quantile, rank_curve, Empirical, OnlineStats, SpRng, Zipf};
+use sp_stats::{quantile, rank_curve, OnlineStats, SpRng, Zipf};
 
 proptest! {
     /// Welford merge must agree with sequential accumulation for any
@@ -86,21 +86,6 @@ proptest! {
         let mut rng = SpRng::seed_from_u64(seed);
         for _ in 0..50 {
             prop_assert!(z.sample(&mut rng) < n);
-        }
-    }
-
-    /// Empirical distribution never samples a zero-weight category.
-    #[test]
-    fn empirical_respects_support(
-        weights in prop::collection::vec(0.0f64..10.0, 1..30),
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let d = Empirical::new(&weights).unwrap();
-        let mut rng = SpRng::seed_from_u64(seed);
-        for _ in 0..100 {
-            let i = d.sample(&mut rng);
-            prop_assert!(weights[i] > 0.0, "sampled zero-weight category {}", i);
         }
     }
 
