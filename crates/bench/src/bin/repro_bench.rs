@@ -63,7 +63,10 @@
 //! `REPRO_SIM_REPS=<n>` sets the sim and fault sections' repetitions
 //! (default 5). An unknown or empty section name, or a repetition count
 //! that is not a positive decimal, exits 2 with one stderr line naming
-//! the variable, before any section runs.
+//! the variable, before any section runs. An output directory that
+//! cannot be created, or a report that cannot be written, exits 1 with
+//! one stderr line naming the path; the directory is created before
+//! any section runs.
 
 #![allow(
     clippy::disallowed_types,
@@ -161,11 +164,11 @@ fn out_dir() -> String {
     std::env::var("REPRO_OUT").unwrap_or_else(|_| "repro_out".to_string())
 }
 
+/// Writes one report into the output directory, which `main` created
+/// before any section ran. A failure names the report's path.
 fn write_json(out: &mut dyn Write, name: &str, json: &str) -> io::Result<()> {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = format!("{dir}/{name}");
-    std::fs::write(&path, json).unwrap();
+    let path = format!("{}/{name}", out_dir());
+    std::fs::write(&path, json).map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))?;
     writeln!(out, "\nwrote {path}:\n{json}")
 }
 
@@ -982,6 +985,13 @@ fn main() -> ExitCode {
         v.parse().ok().filter(|&r: &usize| r >= 1)
     })
     .unwrap_or(5);
+    // An unusable output directory fails now, not after the sections
+    // have spent their time.
+    let dir = out_dir();
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("repro_bench: cannot create REPRO_OUT directory {dir}: {e}");
+        return ExitCode::FAILURE;
+    }
     let mut out = Console::stdout();
     match run(&mut out, mode, &sections, reps).and_then(|()| out.flush()) {
         Ok(()) => ExitCode::SUCCESS,

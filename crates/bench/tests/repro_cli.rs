@@ -1,8 +1,9 @@
 //! The `repro`, `repro_bench` and `check_bench` command lines: usage
 //! errors and malformed variables exit 2 with nothing on stdout,
-//! `repro` exits 0 when its reader goes away, and a closed stdout
-//! changes neither `check_bench`'s verdict nor the reports
-//! `repro_bench` writes. Every child starts with the variables these
+//! `repro` exits 0 when its reader goes away, a closed stdout changes
+//! neither `check_bench`'s verdict nor the reports `repro_bench`
+//! writes, and an output directory `repro_bench` cannot create exits 1
+//! before any section runs. Every child starts with the variables these
 //! binaries read removed, so the caller's environment cannot change
 //! what it sees.
 
@@ -252,4 +253,26 @@ fn repro_bench_writes_its_report_with_stdout_closed() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     let json = std::fs::read_to_string(&report).unwrap();
     assert!(json.contains("\"mode\": \"quick\""), "{json}");
+}
+
+#[test]
+fn repro_bench_rejects_an_unusable_output_directory_before_any_section() {
+    // A directory cannot be created under a regular file.
+    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_bench_out_is_a_file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let dir = file.join("sub");
+    let dir = dir.to_str().unwrap();
+    let vars = [
+        ("REPRO_QUICK", "1"),
+        ("REPRO_SECTIONS", "sim"),
+        ("REPRO_SIM_REPS", "1"),
+        ("REPRO_OUT", dir),
+    ];
+    let out = run(REPRO_BENCH, &[], &vars);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains(dir), "stderr: {stderr}");
+    // Nothing on stdout: not even the banner, so no section ran.
+    assert!(out.stdout.is_empty(), "stdout: {:?}", out.stdout);
 }

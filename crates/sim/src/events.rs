@@ -16,7 +16,10 @@
 //!   churn removes a departed peer's pending events instead of leaving
 //!   tombstones. Handles are generation-guarded: cancelling an event
 //!   that already fired (or whose slab slot was reused) is a safe
-//!   no-op, never a double-delivery or a misfire.
+//!   no-op, never a double-delivery or a misfire. The heap holds each
+//!   event's time beside its slab index as an integer key ordered like
+//!   `f64::total_cmp`, so sifting compares integers and visits the
+//!   slab only when two times are exactly equal.
 //!
 //! Both queues pop in exactly the same order for the same schedule
 //! sequence (enforced by `tests/queue_equivalence.rs`), which is what
@@ -400,9 +403,10 @@ impl Default for EventHandle {
 }
 
 /// One slab entry. `pos == FREE` marks a vacant slot awaiting reuse.
+/// A pending event's time is not here: it sits, as a [`time_key`], in
+/// `IndexedEventQueue::keys` at heap position `pos`.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    time: SimTime,
     seq: u64,
     event: Event,
     generation: u32,
@@ -411,21 +415,48 @@ struct Entry {
 
 const FREE: u32 = u32::MAX;
 
+/// The sign bit of an `f64`'s bits.
+const SIGN: u64 = 1 << 63;
+
+/// Maps a time that is not NaN to an integer whose unsigned order is
+/// `f64::total_cmp`'s: a positive time gets its sign bit set and a
+/// negative one has every bit flipped, so `-0.0` sorts just below
+/// `+0.0` and every finite time sits between the infinities.
+#[inline]
+fn time_key(time: SimTime) -> u64 {
+    let bits = time.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | SIGN)
+}
+
+/// The time [`time_key`] mapped to `key`, bit for bit.
+#[inline]
+fn key_time(key: u64) -> SimTime {
+    SimTime::from_bits(key ^ (!((key as i64 >> 63) as u64) | SIGN))
+}
+
 /// Indexed binary heap with O(log n) cancellation.
 ///
 /// Entries live in a slab (recycled through a free list, so steady
 /// state allocates nothing); the heap stores slab indices and every
-/// entry tracks its heap position, so removal from the middle is a
-/// swap-with-last plus one sift. Pop order is identical to
-/// [`BinaryEventQueue`]: earliest time first, FIFO on ties. The fast
-/// churn engine is its one user; the sharded scale engine, which never
-/// cancels and schedules only whole ticks, uses a tick-keyed calendar
-/// queue of its own instead.
+/// entry tracks its heap position, so removal from the middle is one
+/// sift from the vacated position. Beside each heap slot sits the
+/// event's time as a `u64` key ordered like `f64::total_cmp`, so a
+/// sift compares integers in two dense arrays and reads the slab only
+/// to break an exact time tie by schedule order. Pending events cost
+/// 52 bytes each (a 40-byte slab entry, a 4-byte heap slot and an
+/// 8-byte key). Pop order is identical to [`BinaryEventQueue`]:
+/// earliest time first, FIFO on ties. The fast churn engine is its one
+/// user; the sharded scale engine, which never cancels and schedules
+/// only whole ticks, uses a tick-keyed calendar queue of its own
+/// instead.
 #[derive(Debug, Default)]
 pub struct IndexedEventQueue {
     entries: Vec<Entry>,
     free: Vec<u32>,
+    /// Slab index of the event at each heap position.
     heap: Vec<u32>,
+    /// [`time_key`] of the event at each heap position.
+    keys: Vec<u64>,
     seq: u64,
     high_water: usize,
 }
@@ -449,7 +480,6 @@ impl IndexedEventQueue {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let e = &mut self.entries[idx as usize];
-                e.time = time;
                 e.seq = seq;
                 e.event = event;
                 idx
@@ -457,7 +487,6 @@ impl IndexedEventQueue {
             None => {
                 let idx = self.entries.len() as u32;
                 self.entries.push(Entry {
-                    time,
                     seq,
                     event,
                     generation: 0,
@@ -466,10 +495,12 @@ impl IndexedEventQueue {
                 idx
             }
         };
-        let pos = self.heap.len() as u32;
+        let key = time_key(time);
+        let pos = self.heap.len();
         self.heap.push(idx);
-        self.entries[idx as usize].pos = pos;
-        self.sift_up(pos as usize);
+        self.keys.push(key);
+        let hole = self.hole_up(pos, key, seq);
+        self.place(hole, idx, key);
         self.high_water = self.high_water.max(self.heap.len());
         EventHandle {
             idx,
@@ -498,21 +529,16 @@ impl IndexedEventQueue {
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let idx = self.heap[0];
+        let (&idx, &key) = (self.heap.first()?, self.keys.first()?);
         self.remove_at(0);
-        let e = self.entries[idx as usize];
+        let event = self.entries[idx as usize].event;
         self.release(idx);
-        Some((e.time, e.event))
+        Some((key_time(key), event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
-            .first()
-            .map(|&idx| self.entries[idx as usize].time)
+        self.keys.first().map(|&key| key_time(key))
     }
 
     /// Number of pending events.
@@ -535,11 +561,16 @@ impl IndexedEventQueue {
     /// and counters. The free-list order governs which slab slot the
     /// next `schedule` reuses (and therefore which handle it returns),
     /// so a structural re-push rebuild would diverge; only a verbatim
-    /// copy keeps a restored run bitwise identical.
+    /// copy keeps a restored run bitwise identical. Each entry carries
+    /// its pending event's time; a vacant one has none and writes 0.0.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
         w.len(self.entries.len());
         for e in &self.entries {
-            w.f64(e.time);
+            let time = match e.pos {
+                FREE => 0.0,
+                pos => key_time(self.keys[pos as usize]),
+            };
+            w.f64(time);
             w.u64(e.seq);
             w.u32(e.generation);
             w.u32(e.pos);
@@ -558,18 +589,20 @@ impl IndexedEventQueue {
     }
 
     /// Reads a queue written by [`IndexedEventQueue::snap`], validating
-    /// that heap and free-list indices stay inside the slab.
+    /// that heap and free-list indices stay inside the slab and that
+    /// no pending event is timed NaN. A vacant entry's time is ignored,
+    /// so snapshots that recorded a stale time there restore alike.
     pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let n_entries = r.len("queue entries len")?;
         let mut entries = Vec::with_capacity(n_entries);
+        let mut times = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
-            let time = r.f64("entry time")?;
+            times.push(r.f64("entry time")?);
             let seq = r.u64("entry seq")?;
             let generation = r.u32("entry generation")?;
             let pos = r.u32("entry pos")?;
             let event = Event::unsnap(r)?;
             entries.push(Entry {
-                time,
                 seq,
                 event,
                 generation,
@@ -590,6 +623,7 @@ impl IndexedEventQueue {
         }
         let n_heap = r.len("queue heap len")?;
         let mut heap = Vec::with_capacity(n_heap);
+        let mut keys = Vec::with_capacity(n_heap);
         for pos in 0..n_heap {
             let idx = r.u32("heap idx")?;
             let Some(entry) = entries.get(idx as usize) else {
@@ -604,7 +638,14 @@ impl IndexedEventQueue {
                     entry.pos
                 )));
             }
+            let time = times[idx as usize];
+            if time.is_nan() {
+                return Err(SnapshotError::Malformed(format!(
+                    "slab entry {idx} is pending at NaN"
+                )));
+            }
             heap.push(idx);
+            keys.push(time_key(time));
         }
         let seq = r.u64("queue seq")?;
         let high_water = r.len("queue high water")?;
@@ -612,6 +653,7 @@ impl IndexedEventQueue {
             entries,
             free,
             heap,
+            keys,
             seq,
             high_water,
         })
@@ -624,61 +666,96 @@ impl IndexedEventQueue {
         self.free.push(idx);
     }
 
-    /// Earlier-than comparison between heap slots.
+    /// Schedule order of the event at heap position `pos`.
     #[inline]
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (ea, eb) = (&self.entries[a as usize], &self.entries[b as usize]);
-        match ea.time.total_cmp(&eb.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => ea.seq < eb.seq,
-        }
+    fn seq_at(&self, pos: usize) -> u64 {
+        self.entries[self.heap[pos] as usize].seq
     }
 
+    /// Whether an event keyed `key` and scheduled `seq`-th pops before
+    /// the event at heap position `pos`. The slab is read only on an
+    /// exact time tie.
+    #[inline]
+    fn precedes(&self, key: u64, seq: u64, pos: usize) -> bool {
+        let other = self.keys[pos];
+        key < other || (key == other && seq < self.seq_at(pos))
+    }
+
+    /// Whether the event at heap position `a` pops before the one at
+    /// `b`; like [`precedes`](Self::precedes), ties alone read the slab.
+    #[inline]
+    fn pops_before(&self, a: usize, b: usize) -> bool {
+        let (ka, kb) = (self.keys[a], self.keys[b]);
+        ka < kb || (ka == kb && self.seq_at(a) < self.seq_at(b))
+    }
+
+    /// Puts the event `idx` keyed `key` at heap position `pos`.
+    #[inline]
+    fn place(&mut self, pos: usize, idx: u32, key: u64) {
+        self.heap[pos] = idx;
+        self.keys[pos] = key;
+        self.entries[idx as usize].pos = pos as u32;
+    }
+
+    /// Moves the event at heap position `from` into position `to`.
+    #[inline]
+    fn shift(&mut self, from: usize, to: usize) {
+        self.place(to, self.heap[from], self.keys[from]);
+    }
+
+    /// Removes the event at heap position `pos`; the last event fills
+    /// the hole and sifts from there in whichever direction it must.
     fn remove_at(&mut self, pos: usize) {
         let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.entries[self.heap[pos] as usize].pos = pos as u32;
-        self.heap.pop();
-        if pos < self.heap.len() {
-            // The moved element may violate either direction.
-            let pos = self.sift_down(pos);
-            self.sift_up(pos);
+        let (idx, key) = (self.heap[last], self.keys[last]);
+        self.heap.truncate(last);
+        self.keys.truncate(last);
+        if pos < last {
+            let seq = self.entries[idx as usize].seq;
+            let mut hole = self.hole_up(pos, key, seq);
+            if hole == pos {
+                hole = self.hole_down(pos, key, seq);
+            }
+            self.place(hole, idx, key);
         }
     }
 
-    fn sift_up(&mut self, mut pos: usize) -> usize {
+    /// Sifts a hole at `pos` up past every parent that pops after the
+    /// event (`key`, `seq`), moving each down one level, and returns
+    /// where the hole stops.
+    fn hole_up(&mut self, mut pos: usize, key: u64, seq: u64) -> usize {
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.before(self.heap[pos], self.heap[parent]) {
-                self.heap.swap(pos, parent);
-                self.entries[self.heap[pos] as usize].pos = pos as u32;
-                self.entries[self.heap[parent] as usize].pos = parent as u32;
-                pos = parent;
-            } else {
+            if !self.precedes(key, seq, parent) {
                 break;
             }
+            self.shift(parent, pos);
+            pos = parent;
         }
         pos
     }
 
-    fn sift_down(&mut self, mut pos: usize) -> usize {
+    /// Sifts a hole at `pos` down past every smaller child that pops
+    /// before the event (`key`, `seq`), moving each up one level, and
+    /// returns where the hole stops.
+    fn hole_down(&mut self, mut pos: usize, key: u64, seq: u64) -> usize {
+        let len = self.heap.len();
         loop {
-            let (l, r) = (2 * pos + 1, 2 * pos + 2);
-            let mut best = pos;
-            if l < self.heap.len() && self.before(self.heap[l], self.heap[best]) {
-                best = l;
-            }
-            if r < self.heap.len() && self.before(self.heap[r], self.heap[best]) {
-                best = r;
-            }
-            if best == pos {
+            let left = 2 * pos + 1;
+            if left >= len {
                 return pos;
             }
-            self.heap.swap(pos, best);
-            self.entries[self.heap[pos] as usize].pos = pos as u32;
-            self.entries[self.heap[best] as usize].pos = best as u32;
-            pos = best;
+            let right = left + 1;
+            let child = if right < len && self.pops_before(right, left) {
+                right
+            } else {
+                left
+            };
+            if self.precedes(key, seq, child) {
+                return pos;
+            }
+            self.shift(child, pos);
+            pos = child;
         }
     }
 }
@@ -898,6 +975,142 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn time_keys_order_like_total_cmp_and_round_trip() {
+        let mut times = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(f64::MIN_POSITIVE.to_bits() - 1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            450.0,
+            f64::MAX,
+            f64::from_bits(f64::MAX.to_bits() - 1),
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Scattered bit patterns add arbitrary exponents of both signs.
+        times.extend(
+            (1..200u64)
+                .map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .filter(|t| !t.is_nan()),
+        );
+        for &a in &times {
+            assert_eq!(key_time(time_key(a)).to_bits(), a.to_bits(), "{a:e}");
+            for &b in &times {
+                assert_eq!(
+                    time_key(a).cmp(&time_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pending_events_cost_52_bytes() {
+        let slot = std::mem::size_of::<u32>() + std::mem::size_of::<u64>();
+        assert_eq!(std::mem::size_of::<Entry>() + slot, 52);
+    }
+
+    /// Writes `q` the way [`IndexedEventQueue::snap`] does, except that
+    /// slab entry `i` records `time(i, pending)` for its time, where
+    /// `pending` is the time of the event it holds, if any.
+    fn snap_with_times(q: &IndexedEventQueue, time: impl Fn(usize, Option<f64>) -> f64) -> Vec<u8> {
+        let mut w = sp_model::SnapWriter::new();
+        w.len(q.entries.len());
+        for (i, e) in q.entries.iter().enumerate() {
+            let pending = (e.pos != FREE).then(|| key_time(q.keys[e.pos as usize]));
+            w.f64(time(i, pending));
+            w.u64(e.seq);
+            w.u32(e.generation);
+            w.u32(e.pos);
+            e.event.snap(&mut w);
+        }
+        w.len(q.free.len());
+        for &idx in &q.free {
+            w.u32(idx);
+        }
+        w.len(q.heap.len());
+        for &idx in &q.heap {
+            w.u32(idx);
+        }
+        w.u64(q.seq);
+        w.len(q.high_water);
+        w.seal(sp_model::snapshot::ENGINE_FAST)
+    }
+
+    #[test]
+    fn stale_vacant_slot_times_restore_identically() {
+        let mut q = IndexedEventQueue::new();
+        let handles: Vec<EventHandle> = (0..12)
+            .map(|i| q.schedule(f64::from(i % 5) - 1.0, Event::Sample))
+            .collect();
+        for &h in handles.iter().step_by(3) {
+            q.cancel(h);
+        }
+        q.pop();
+        q.pop();
+        assert!(q.entries.iter().filter(|e| e.pos == FREE).count() >= 6);
+        let mut canonical = sp_model::SnapWriter::new();
+        q.snap(&mut canonical);
+        let canonical = canonical.seal(sp_model::snapshot::ENGINE_FAST);
+        // Snapshots written while the slab held times kept each vacant
+        // slot's last occupant's there.
+        let stale = [123.5, -0.0, f64::MAX, f64::from_bits(1), f64::NAN, -7.0];
+        let data = snap_with_times(&q, |i, pending| pending.unwrap_or(stale[i % stale.len()]));
+        assert_ne!(data, canonical, "the stale times must reach the bytes");
+        let mut r = sp_model::SnapReader::open(&data).unwrap();
+        let mut restored = IndexedEventQueue::unsnap(&mut r).unwrap();
+        r.finish().unwrap();
+        // The restored queue writes vacant slots as 0.0 again.
+        let mut resnap = sp_model::SnapWriter::new();
+        restored.snap(&mut resnap);
+        assert_eq!(resnap.seal(sp_model::snapshot::ENGINE_FAST), canonical);
+        // Same cancels, same handles from the same slots, same pops.
+        for &h in handles.iter().step_by(2) {
+            assert_eq!(q.cancel(h), restored.cancel(h));
+        }
+        for i in 0..6 {
+            let time = f64::from(i) * 0.5;
+            assert_eq!(
+                q.schedule(time, Event::PeerJoin),
+                restored.schedule(time, Event::PeerJoin)
+            );
+        }
+        loop {
+            let (x, y) = (q.pop(), restored.pop());
+            assert_eq!(
+                x.map(|(t, e)| (t.to_bits(), e)),
+                y.map(|(t, e)| (t.to_bits(), e))
+            );
+            if x.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_queue_unsnap_rejects_a_pending_nan() {
+        let mut q = IndexedEventQueue::new();
+        q.schedule(1.0, Event::Sample);
+        q.schedule(2.0, Event::Sample);
+        let data = snap_with_times(&q, |i, pending| match i {
+            1 => f64::NAN,
+            _ => pending.unwrap_or(0.0),
+        });
+        let mut r = sp_model::SnapReader::open(&data).unwrap();
+        assert!(matches!(
+            IndexedEventQueue::unsnap(&mut r),
+            Err(sp_model::SnapshotError::Malformed(m)) if m.contains("NaN")
+        ));
     }
 
     #[test]

@@ -325,11 +325,6 @@ impl FaultState {
         }
     }
 
-    /// An inert state (empty plan); the engines' default.
-    pub fn inactive() -> FaultState {
-        FaultState::new(FaultPlan::default(), 0)
-    }
-
     /// Whether the plan injects anything at all.
     pub fn is_active(&self) -> bool {
         !self.plan.faults.is_empty()
@@ -697,7 +692,7 @@ mod tests {
 
     #[test]
     fn inactive_state_is_draw_free() {
-        let mut fs = FaultState::inactive();
+        let mut fs = FaultState::new(FaultPlan::default(), 0);
         assert!(!fs.is_active());
         assert!(fs.rejoin_cap().is_none());
         assert!(!fs.drops_possible());

@@ -412,11 +412,6 @@ impl OverloadState {
         !self.policy.is_empty()
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> &OverloadPolicy {
-        &self.policy
-    }
-
     /// Seconds one response occupies the server.
     fn service_secs(&self) -> f64 {
         1.0 / self.policy.service_rate

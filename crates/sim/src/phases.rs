@@ -123,11 +123,6 @@ impl ScenarioState {
         }
     }
 
-    /// An inert state (empty plan); the engines' default.
-    pub fn inactive() -> ScenarioState {
-        ScenarioState::new(&ScenarioPlan::default(), 0)
-    }
-
     /// Whether the plan modifies anything at all.
     pub fn is_active(&self) -> bool {
         !self.phases.is_empty() || !self.classes.is_empty()
@@ -399,7 +394,7 @@ mod tests {
 
     #[test]
     fn inactive_state_is_draw_free_and_identity() {
-        let mut s = ScenarioState::inactive();
+        let mut s = ScenarioState::new(&ScenarioPlan::default(), 0);
         assert!(!s.is_active());
         assert!(s.schedule().is_empty());
         assert_eq!(s.query_rate_mult(), 1.0);

@@ -983,7 +983,7 @@ fn mid_run_snapshot_bytes_are_pinned() {
     let mut fast = Simulation::with_scenario(&config, pin_opts(), &plan);
     fast.run_to(450.0);
     let hash = fnv1a(&fast.snapshot());
-    assert_eq!(hash, 0x3dee_0b6c_b5bb_c0d1, "fast snapshot: {hash:#018x}");
+    assert_eq!(hash, 0xb0b9_baaf_6048_0137, "fast snapshot: {hash:#018x}");
     let mut reference = ReferenceSimulation::with_scenario(&config, pin_opts(), &plan);
     reference.run_to(450.0);
     let hash = fnv1a(&reference.snapshot());
