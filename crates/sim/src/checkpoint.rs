@@ -375,12 +375,14 @@ pub(crate) fn snap_repair_pending(v: &[RepairPending], w: &mut SnapWriter) {
     }
 }
 
-/// Reads a vector written by [`snap_repair_pending`].
+/// Reads a vector written by [`snap_repair_pending`] into room for at
+/// least `capacity` cluster slots.
 pub(crate) fn unsnap_repair_pending(
     r: &mut SnapReader<'_>,
+    capacity: usize,
 ) -> Result<Vec<RepairPending>, SnapshotError> {
     let n = r.len("repair_pending len")?;
-    let mut v = Vec::with_capacity(n);
+    let mut v = Vec::with_capacity(n.max(capacity));
     for _ in 0..n {
         v.push(RepairPending {
             active: r.bool("repair_pending active")?,

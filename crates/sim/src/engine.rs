@@ -94,7 +94,7 @@ use crate::checkpoint;
 use crate::events::{ClusterId, Event, EventHandle, IndexedEventQueue, PeerId, SimTime};
 use crate::faults::{FaultAction, FaultMetrics, FaultState, QueryOutcome, Submission};
 use crate::metrics::{EventKind, ProfileTimer, RunManifest, SimMetrics};
-use crate::network::SimNetwork;
+use crate::network::{SimNetwork, SlabPlan};
 use crate::overload::{Admission, OverloadMetrics, OverloadState};
 use crate::phases::{PhaseAction, ScenarioState};
 use crate::repair::{ReachPoint, RepairMetrics, RepairPending};
@@ -280,8 +280,9 @@ pub trait Mechanics: Sized + sealed::Sealed {
     const ENGINE: u8;
 
     /// Mechanics for a fresh run: an empty queue, no timers, no
-    /// scratch.
-    fn fresh() -> Self;
+    /// scratch, with room reserved for the run's `slabs` where the
+    /// mechanics keep per-slot storage.
+    fn fresh(slabs: &SlabPlan) -> Self;
 
     // ---- 1. event queue and timers ----
 
@@ -347,8 +348,9 @@ pub trait Mechanics: Sized + sealed::Sealed {
     fn finish_run(engine: &mut ChurnEngine<Self>);
     /// Writes the event queue into a snapshot.
     fn snap_queue(&self, w: &mut SnapWriter);
-    /// Mechanics around a queue written by [`snap_queue`](Self::snap_queue).
-    fn unsnap_queue(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError>;
+    /// Mechanics around a queue written by [`snap_queue`](Self::snap_queue),
+    /// with room reserved as [`fresh`](Self::fresh) reserves it.
+    fn unsnap_queue(r: &mut SnapReader<'_>, slabs: &SlabPlan) -> Result<Self, SnapshotError>;
     /// Writes the event counters into a snapshot.
     fn snap_counters(&self, w: &mut SnapWriter);
     /// Reads counters written by [`snap_counters`](Self::snap_counters).
@@ -400,7 +402,8 @@ pub struct ChurnEngine<M: Mechanics> {
     /// Fault-injection state machine (inert for an empty plan).
     pub(crate) faults: FaultState,
     /// Per-cluster-slot headless-window state, grown on demand (the
-    /// fast mechanics keep it sized to the cluster slab).
+    /// fast mechanics keep it sized to the cluster slab) within the
+    /// planned cluster slots.
     repair_pending: Vec<RepairPending>,
     /// Union-find over the live super-peer overlay, rebuilt at each
     /// reachability observation.
@@ -454,22 +457,23 @@ impl<M: Mechanics> ChurnEngine<M> {
         )]
         let mut rng = SpRng::seed_from_u64(opts.seed);
         let inst = NetworkInstance::generate(config, &mut rng).expect("invalid configuration");
+        let slabs = SlabPlan::for_config(config);
         let mut sim = ChurnEngine {
-            net: SimNetwork::new(),
+            net: SimNetwork::with_capacity(&slabs),
             rng,
             now: 0.0,
             config: config.clone(),
             model: QueryModel::from_config(&config.query_model),
             opts,
             metrics: RawMetrics::default(),
-            faults: FaultState::new(plan.faults.clone(), opts.fault_seed),
-            repair_pending: Vec::new(),
+            faults: FaultState::new(&plan.faults, opts.fault_seed),
+            repair_pending: Vec::with_capacity(slabs.clusters),
             monitor: PartitionMonitor::new(),
             in_fault_crash: false,
             scenario: ScenarioState::new(plan, opts.scenario_seed),
             overload: OverloadState::new(plan.overload),
             scenario_plan: plan.clone(),
-            mech: M::fresh(),
+            mech: M::fresh(&slabs),
         };
         sim.bootstrap(&inst);
         sim
@@ -594,6 +598,9 @@ impl<M: Mechanics> ChurnEngine<M> {
         config
             .validate()
             .map_err(|e| SnapshotError::Malformed(format!("embedded config: {e}")))?;
+        // The codec bounds `graph_size` by the payload size, so a
+        // crafted population cannot size the slabs past the snapshot.
+        let slabs = SlabPlan::for_config(&config);
         let opts = checkpoint::unsnap_opts(&mut r)?;
         // `from_json` validates the plan, faults and policies included.
         let scenario_plan = ScenarioPlan::from_json(r.str("scenario plan json")?)
@@ -603,13 +610,13 @@ impl<M: Mechanics> ChurnEngine<M> {
         for s in &mut rng_state {
             *s = r.u64("rng state")?;
         }
-        let mut mech = M::unsnap_queue(&mut r)?;
-        let net = SimNetwork::unsnap(&mut r)?;
+        let mut mech = M::unsnap_queue(&mut r, &slabs)?;
+        let net = SimNetwork::unsnap(&mut r, &slabs)?;
         let metrics = checkpoint::unsnap_raw_metrics(&mut r)?;
         mech.unsnap_counters(&mut r)?;
-        let mut faults = FaultState::new(scenario_plan.faults.clone(), opts.fault_seed);
-        faults.unsnap_state(&mut r)?;
-        let repair_pending = checkpoint::unsnap_repair_pending(&mut r)?;
+        let mut faults = FaultState::new(&scenario_plan.faults, opts.fault_seed);
+        faults.unsnap_state(&scenario_plan.faults, &mut r)?;
+        let repair_pending = checkpoint::unsnap_repair_pending(&mut r, slabs.clusters)?;
         let mut scenario = ScenarioState::new(&scenario_plan, opts.scenario_seed);
         scenario.unsnap_state(&mut r)?;
         let overload = OverloadState::unsnap_state(scenario_plan.overload, &mut r)?;
@@ -844,7 +851,7 @@ impl<M: Mechanics> ChurnEngine<M> {
         // Compile the fault plan into first-class queue events, then
         // the scenario phases, at this fixed bootstrap point so
         // same-time events keep a fixed FIFO order.
-        for (index, time, start) in self.faults.schedule() {
+        for (index, time, start) in FaultState::schedule(&self.scenario_plan.faults) {
             self.mech.schedule(time, Event::Fault { index, start });
         }
         for (index, time, start) in self.scenario.schedule() {
@@ -1440,9 +1447,7 @@ impl<M: Mechanics> ChurnEngine<M> {
                 if target.is_some() {
                     self.metrics.faults.injected_drop += 1;
                 }
-                if self
-                    .faults
-                    .rejoin_cap()
+                if FaultState::rejoin_cap(&self.scenario_plan.faults)
                     .is_some_and(|cap| attempt >= cap.max(1))
                 {
                     self.give_up_rejoin(peer, orphaned_at);
@@ -1629,7 +1634,9 @@ impl<M: Mechanics> ChurnEngine<M> {
                 self.metrics.repair.queries_during_outage += 1;
                 return;
             }
-            let sub = self.faults.submit_query(partners_len);
+            let sub = self
+                .faults
+                .submit_query(&self.scenario_plan.faults, partners_len);
             let primary = self.rr_partner(sc);
             let c_conns = self.client_connections(sc);
             let p_conns = self.partner_connections(sc);
@@ -2041,7 +2048,10 @@ impl<M: Mechanics> ChurnEngine<M> {
     /// churn.
     fn on_fault(&mut self, index: u32, start: bool) {
         let alive: Vec<ClusterId> = self.net.alive_clusters().collect();
-        match self.faults.on_fault_event(index, start, &alive) {
+        match self
+            .faults
+            .on_fault_event(&self.scenario_plan.faults, index, start, &alive)
+        {
             FaultAction::None => {}
             FaultAction::Crash(victims) => {
                 // Snapshot (peer, generation) pairs first: crashing one
@@ -2203,22 +2213,24 @@ pub struct FastMechanics {
 }
 
 impl FastMechanics {
-    fn with_queue(queue: IndexedEventQueue) -> Self {
+    /// Mechanics around `queue`, with the timer handles and the flood
+    /// scratch reserved for the planned peer and cluster slots.
+    fn with_queue(queue: IndexedEventQueue, slabs: &SlabPlan) -> Self {
         FastMechanics {
             queue,
             obs: SimMetrics::default(),
-            leave_h: Vec::new(),
-            query_h: Vec::new(),
-            update_h: Vec::new(),
-            rejoin_h: Vec::new(),
-            adapt_h: Vec::new(),
+            leave_h: Vec::with_capacity(slabs.peers),
+            query_h: Vec::with_capacity(slabs.peers),
+            update_h: Vec::with_capacity(slabs.peers),
+            rejoin_h: Vec::with_capacity(slabs.peers),
+            adapt_h: Vec::with_capacity(slabs.clusters),
             pool: Vec::new(),
             stamp_cur: 0,
-            bfs_parent: Vec::new(),
-            bfs_depth: Vec::new(),
-            bfs_order: Vec::new(),
+            bfs_parent: Vec::with_capacity(slabs.clusters),
+            bfs_depth: Vec::with_capacity(slabs.clusters),
+            bfs_order: Vec::with_capacity(slabs.clusters),
             bfs_candidates: Vec::new(),
-            flood: Vec::new(),
+            flood: Vec::with_capacity(slabs.clusters),
         }
     }
 
@@ -2245,8 +2257,8 @@ impl sealed::Sealed for FastMechanics {}
 impl Mechanics for FastMechanics {
     const ENGINE: u8 = ENGINE_FAST;
 
-    fn fresh() -> Self {
-        Self::with_queue(IndexedEventQueue::new())
+    fn fresh(slabs: &SlabPlan) -> Self {
+        Self::with_queue(IndexedEventQueue::with_capacity(slabs.events), slabs)
     }
 
     fn schedule(&mut self, time: SimTime, event: Event) {
@@ -2380,8 +2392,11 @@ impl Mechanics for FastMechanics {
         self.queue.snap(w);
     }
 
-    fn unsnap_queue(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self::with_queue(IndexedEventQueue::unsnap(r)?))
+    fn unsnap_queue(r: &mut SnapReader<'_>, slabs: &SlabPlan) -> Result<Self, SnapshotError> {
+        Ok(Self::with_queue(
+            IndexedEventQueue::unsnap(r, slabs.events)?,
+            slabs,
+        ))
     }
 
     fn snap_counters(&self, w: &mut SnapWriter) {
@@ -2465,6 +2480,40 @@ impl Simulation {
     /// queue depth, optional wall-time histograms).
     pub fn observability(&self) -> &SimMetrics {
         &self.mech.obs
+    }
+
+    /// Every slab the run's [`SlabPlan`] sizes: its name, capacity, and
+    /// planned slot count.
+    #[cfg(test)]
+    fn slab_capacities(&self) -> Vec<(&'static str, usize, usize)> {
+        let plan = SlabPlan::for_config(&self.config);
+        let m = &self.mech;
+        let mut caps = Vec::new();
+        caps.extend(
+            m.queue
+                .slab_capacities()
+                .map(|(slab, cap)| (slab, cap, plan.events)),
+        );
+        caps.extend(self.net.slab_capacities(&plan));
+        for (slab, cap) in [
+            ("mech.leave_h", m.leave_h.capacity()),
+            ("mech.query_h", m.query_h.capacity()),
+            ("mech.update_h", m.update_h.capacity()),
+            ("mech.rejoin_h", m.rejoin_h.capacity()),
+        ] {
+            caps.push((slab, cap, plan.peers));
+        }
+        for (slab, cap) in [
+            ("mech.adapt_h", m.adapt_h.capacity()),
+            ("mech.flood", m.flood.capacity()),
+            ("mech.bfs_parent", m.bfs_parent.capacity()),
+            ("mech.bfs_depth", m.bfs_depth.capacity()),
+            ("mech.bfs_order", m.bfs_order.capacity()),
+            ("repair_pending", self.repair_pending.capacity()),
+        ] {
+            caps.push((slab, cap, plan.clusters));
+        }
+        caps
     }
 
     /// Builds the structured run manifest from the metrics
@@ -3100,6 +3149,39 @@ mod tests {
     }
 
     #[test]
+    fn planned_slot_costs_are_the_documented_ones() {
+        // DESIGN.md §11, "Storage sized once", quotes these sizes; a
+        // pending event's 52 bytes are pinned in `events.rs`.
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<crate::network::SimPeer>>(), 40);
+        assert_eq!(size_of::<Option<crate::network::SimCluster>>(), 120);
+        assert_eq!(size_of::<crate::counters::LoadCounters>(), 64);
+        // One leave, query, update and rejoin handle per peer slot.
+        assert_eq!(4 * size_of::<EventHandle>(), 32);
+    }
+
+    /// `restore` reserves the slabs from the snapshot's own config, so
+    /// a crafted population must be refused by name before anything
+    /// is reserved for it.
+    #[test]
+    fn restore_refuses_a_population_larger_than_the_snapshot() {
+        let cfg = small_config();
+        let mut sim = Simulation::new(&cfg, SimOptions::default());
+        sim.run_to(50.0);
+        let mut snap = sim.snapshot();
+        // The payload starts at byte 17 with the graph type; the
+        // population follows it. Re-seal so only the value is wrong.
+        snap[18..26].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let end = snap.len() - 8;
+        let seal = sp_model::snapshot::fnv1a(&snap[17..end]);
+        snap[end..].copy_from_slice(&seal.to_le_bytes());
+        match Simulation::restore(&snap) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("graph_size"), "{msg}"),
+            other => panic!("expected a named refusal, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
     fn churn_triggers_failures_without_redundancy() {
         let cfg = Config {
             graph_size: 100,
@@ -3234,6 +3316,125 @@ mod tests {
         );
         assert!(obs.queue_high_water > 0);
         assert!(sim.events_delivered() == obs.delivered_total());
+    }
+
+    /// Every slab the [`SlabPlan`] sizes holds exactly its planned
+    /// capacity after construction (so bootstrap did not regrow it),
+    /// after a whole run, and after a mid-run snapshot, restore and run
+    /// to the end, on scaled-down copies of the benchmark's churn
+    /// shapes plus adaptation and a split.
+    #[test]
+    fn planned_slabs_never_regrow() {
+        use sp_model::overload::OverloadPolicy;
+        use sp_model::repair::RepairPolicy;
+        use sp_model::scenario::{PhaseKind, PhaseSpec};
+        let phase = |from_secs, until_secs, kind| PhaseSpec {
+            from_secs,
+            until_secs,
+            rate_mult: 1.0,
+            kind,
+        };
+        let opts = |duration_secs, seed| SimOptions {
+            duration_secs,
+            seed,
+            fault_seed: seed,
+            scenario_seed: seed,
+            ..SimOptions::default()
+        };
+
+        // A 10x flash crowd over the middle 60 % of the run, under the
+        // overload policy sized for the configuration.
+        let crowd_cfg = Config {
+            graph_size: 1_000,
+            ..Config::default()
+        };
+        let crowd = ScenarioPlan {
+            phases: vec![phase(
+                96.0,
+                384.0,
+                PhaseKind::FlashCrowd {
+                    query_rate_mult: 10.0,
+                    hot_shift: 0,
+                },
+            )],
+            overload: OverloadPolicy::sized_for(&crowd_cfg),
+            ..ScenarioPlan::default()
+        };
+        // k = 2 at TTL 2: a crash storm, a churn burst and a mass
+        // leave, with promote+partner repair.
+        let storm_cfg = Config {
+            graph_size: 2_000,
+            ttl: 2,
+            ..Config::default()
+        }
+        .with_redundancy(true);
+        let d = 1800.0;
+        let storm = ScenarioPlan {
+            faults: crate::scenario::crash_storm_plan(d),
+            repair: RepairPolicy::PromotePartner,
+            phases: vec![
+                phase(
+                    0.2 * d,
+                    0.8 * d,
+                    PhaseKind::ChurnBurst {
+                        lifespan_mult: 0.05,
+                    },
+                ),
+                phase(0.6 * d, 0.65 * d, PhaseKind::MassLeave { fraction: 0.25 }),
+            ],
+            ..ScenarioPlan::default()
+        };
+        let adapt_opts = SimOptions {
+            adapt: Some(AdaptSettings {
+                interval_secs: 120.0,
+                limit: Load {
+                    in_bw: 2e5,
+                    out_bw: 2e5,
+                    proc: 2e7,
+                },
+            }),
+            ..opts(1800.0, 3)
+        };
+        let split = ScenarioPlan {
+            phases: vec![phase(300.0, 900.0, PhaseKind::Split { fraction: 0.3 })],
+            ..ScenarioPlan::default()
+        };
+        let small = Config {
+            graph_size: 1_000,
+            ..Config::default()
+        };
+        let shapes = [
+            ("flash crowd", crowd_cfg, opts(480.0, 42), crowd),
+            ("churn storm", storm_cfg, opts(d, 42), storm),
+            (
+                "adaptation",
+                small.clone(),
+                adapt_opts,
+                ScenarioPlan::default(),
+            ),
+            ("split", small, opts(1200.0, 5), split),
+        ];
+        for (shape, cfg, opts, plan) in shapes {
+            let sized = |stage: &str, caps: Vec<(&str, usize, usize)>| {
+                for (slab, cap, planned) in caps {
+                    assert_eq!(
+                        cap, planned,
+                        "{shape}: {slab} has capacity {cap}, planned {planned}, {stage}"
+                    );
+                }
+            };
+            let mut sim = Simulation::with_scenario(&cfg, opts, &plan);
+            sized("after construction", sim.slab_capacities());
+            sim.run_to(opts.duration_secs / 2.0);
+            let snap = sim.snapshot();
+            sim.run();
+            sized("after the run", sim.slab_capacities());
+
+            let mut resumed = Simulation::restore(&snap).expect("restore");
+            sized("after a restore", resumed.slab_capacities());
+            resumed.run();
+            sized("after the resumed run", resumed.slab_capacities());
+        }
     }
 
     #[test]

@@ -467,6 +467,17 @@ impl IndexedEventQueue {
         Self::default()
     }
 
+    /// Creates an empty queue that holds `capacity` pending events
+    /// before its slab, heap and keys regrow.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        IndexedEventQueue {
+            entries: Vec::with_capacity(capacity),
+            heap: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            ..Self::default()
+        }
+    }
+
     /// Schedules `event` at absolute time `time`; the returned handle
     /// can cancel it until it fires.
     ///
@@ -592,9 +603,12 @@ impl IndexedEventQueue {
     /// that heap and free-list indices stay inside the slab and that
     /// no pending event is timed NaN. A vacant entry's time is ignored,
     /// so snapshots that recorded a stale time there restore alike.
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+    /// The slab, heap and keys hold at least `capacity` events, as
+    /// [`with_capacity`](Self::with_capacity) reserves them.
+    pub(crate) fn unsnap(r: &mut SnapReader<'_>, capacity: usize) -> Result<Self, SnapshotError> {
         let n_entries = r.len("queue entries len")?;
-        let mut entries = Vec::with_capacity(n_entries);
+        let capacity = capacity.max(n_entries);
+        let mut entries = Vec::with_capacity(capacity);
         let mut times = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             times.push(r.f64("entry time")?);
@@ -622,8 +636,8 @@ impl IndexedEventQueue {
             free.push(idx);
         }
         let n_heap = r.len("queue heap len")?;
-        let mut heap = Vec::with_capacity(n_heap);
-        let mut keys = Vec::with_capacity(n_heap);
+        let mut heap = Vec::with_capacity(capacity);
+        let mut keys = Vec::with_capacity(capacity);
         for pos in 0..n_heap {
             let idx = r.u32("heap idx")?;
             let Some(entry) = entries.get(idx as usize) else {
@@ -657,6 +671,16 @@ impl IndexedEventQueue {
             seq,
             high_water,
         })
+    }
+
+    /// The capacity of the slab, the heap and the keys, by name.
+    #[cfg(test)]
+    pub(crate) fn slab_capacities(&self) -> [(&'static str, usize); 3] {
+        [
+            ("queue.entries", self.entries.capacity()),
+            ("queue.heap", self.heap.capacity()),
+            ("queue.keys", self.keys.capacity()),
+        ]
     }
 
     fn release(&mut self, idx: u32) {
@@ -953,7 +977,7 @@ mod tests {
         q.snap(&mut w);
         let data = w.seal(sp_model::snapshot::ENGINE_FAST);
         let mut r = sp_model::SnapReader::open(&data).unwrap();
-        let mut restored = IndexedEventQueue::unsnap(&mut r).unwrap();
+        let mut restored = IndexedEventQueue::unsnap(&mut r, 0).unwrap();
         r.finish().unwrap();
         // Stale handles stay stale; live handles stay cancellable.
         // Mirror every mutation on both queues so their free lists
@@ -1068,7 +1092,7 @@ mod tests {
         let data = snap_with_times(&q, |i, pending| pending.unwrap_or(stale[i % stale.len()]));
         assert_ne!(data, canonical, "the stale times must reach the bytes");
         let mut r = sp_model::SnapReader::open(&data).unwrap();
-        let mut restored = IndexedEventQueue::unsnap(&mut r).unwrap();
+        let mut restored = IndexedEventQueue::unsnap(&mut r, 0).unwrap();
         r.finish().unwrap();
         // The restored queue writes vacant slots as 0.0 again.
         let mut resnap = sp_model::SnapWriter::new();
@@ -1108,7 +1132,7 @@ mod tests {
         });
         let mut r = sp_model::SnapReader::open(&data).unwrap();
         assert!(matches!(
-            IndexedEventQueue::unsnap(&mut r),
+            IndexedEventQueue::unsnap(&mut r, 0),
             Err(sp_model::SnapshotError::Malformed(m)) if m.contains("NaN")
         ));
     }
@@ -1125,7 +1149,7 @@ mod tests {
         let data = w.seal(sp_model::snapshot::ENGINE_FAST);
         let mut r = sp_model::SnapReader::open(&data).unwrap();
         assert!(matches!(
-            IndexedEventQueue::unsnap(&mut r),
+            IndexedEventQueue::unsnap(&mut r, 0),
             Err(sp_model::SnapshotError::Malformed(_))
         ));
     }

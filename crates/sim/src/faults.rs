@@ -1,10 +1,12 @@
 //! Deterministic fault injection for the churn simulator.
 //!
-//! A [`FaultState`] owns everything fault-related that both engines
-//! share: the compiled [`FaultPlan`], a *dedicated* RNG stream (seeded
-//! from `SimOptions::fault_seed`, never from the simulation's main
-//! stream), the currently active message-loss/delay/flaky windows, and
-//! the partition map. Keeping the fault stream separate means a run
+//! A [`FaultState`] owns the mutable fault state that both engines
+//! share: a *dedicated* RNG stream (seeded from
+//! `SimOptions::fault_seed`, never from the simulation's main stream),
+//! the currently active message-loss/delay/flaky windows, and the
+//! partition map. The [`FaultPlan`] itself stays in the engine's
+//! scenario plan, and every method that reads it takes it as an
+//! argument. Keeping the fault stream separate means a run
 //! with an empty plan makes **zero** fault draws and is bitwise
 //! identical to a run of the pre-fault engine; and the same plan under
 //! a different `--fault-seed` reuses the main seed's churn/query
@@ -15,7 +17,7 @@
 //! flood transmission, each fault event), so the draw sequences align
 //! and `RawMetrics` — including [`FaultMetrics`] — stay bitwise equal.
 //!
-//! Client-side recovery follows the plan's [`RetryPolicy`]: a failed
+//! Client-side recovery follows the plan's [`RetryPolicy`](sp_model::faults::RetryPolicy): a failed
 //! submission attempt (dropped in flight, or a flaky partner) costs the
 //! client a timeout plus exponential backoff of *virtual* latency
 //! (accounted in [`FaultMetrics::retry_wait_secs`], never scheduled),
@@ -24,7 +26,7 @@
 //! sequence is exhausted too is the query counted lost.
 
 use crate::events::ClusterId;
-use sp_model::faults::{FaultPlan, FaultSpec, RetryPolicy};
+use sp_model::faults::{FaultPlan, FaultSpec};
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use sp_stats::SpRng;
 
@@ -280,10 +282,11 @@ struct WindowFlags {
     active: Vec<bool>,
 }
 
-/// The shared fault-injection state machine (see module docs).
+/// The shared fault-injection state machine (see module docs). It
+/// keeps no copy of its [`FaultPlan`]: each method that reads the plan
+/// takes the one the state was built for.
 #[derive(Debug, Clone)]
 pub struct FaultState {
-    plan: FaultPlan,
     rng: SpRng,
     windows: WindowFlags,
     /// Effective per-transmission drop probability over active windows.
@@ -308,10 +311,9 @@ impl FaultState {
         clippy::disallowed_methods,
         reason = "R1b seed root: the fault stream comes from fault_seed"
     )]
-    pub fn new(plan: FaultPlan, fault_seed: u64) -> FaultState {
+    pub fn new(plan: &FaultPlan, fault_seed: u64) -> FaultState {
         let n = plan.faults.len();
         FaultState {
-            plan,
             rng: SpRng::seed_from_u64(fault_seed ^ 0x000F_A417_5EED),
             windows: WindowFlags {
                 active: vec![false; n],
@@ -325,31 +327,21 @@ impl FaultState {
         }
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_active(&self) -> bool {
-        !self.plan.faults.is_empty()
-    }
-
-    /// The retry policy in force.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.plan.retry
-    }
-
-    /// The rejoin-attempt cap, or `None` when no faults are active
-    /// (so plain churn runs keep the uncapped legacy behavior).
-    pub fn rejoin_cap(&self) -> Option<u32> {
-        if self.is_active() {
-            Some(self.plan.retry.max_rejoin_attempts)
-        } else {
+    /// The rejoin-attempt cap of `plan`, or `None` when it injects no
+    /// faults (so plain churn runs keep the uncapped legacy behavior).
+    pub fn rejoin_cap(plan: &FaultPlan) -> Option<u32> {
+        if plan.faults.is_empty() {
             None
+        } else {
+            Some(plan.retry.max_rejoin_attempts)
         }
     }
 
-    /// The fault schedule: `(index, time, start)` triples to seed into
-    /// the event queue at bootstrap, in declaration order.
-    pub fn schedule(&self) -> Vec<(u32, f64, bool)> {
-        let mut out = Vec::with_capacity(self.plan.faults.len() * 2);
-        for (i, fault) in self.plan.faults.iter().enumerate() {
+    /// The fault schedule of `plan`: `(index, time, start)` triples to
+    /// seed into the event queue at bootstrap, in declaration order.
+    pub fn schedule(plan: &FaultPlan) -> Vec<(u32, f64, bool)> {
+        let mut out = Vec::with_capacity(plan.faults.len() * 2);
+        for (i, fault) in plan.faults.iter().enumerate() {
             out.push((i as u32, fault.start_secs(), true));
             if let Some(end) = fault.end_secs() {
                 out.push((i as u32, end, false));
@@ -429,14 +421,19 @@ impl FaultState {
         }
     }
 
-    /// Applies the fault event `(index, start)` and returns what the
-    /// engine must execute. `alive` is the engine's alive-cluster list
-    /// in iteration order — both engines pass identical lists, so the
-    /// crash and partition resolutions match.
-    pub fn on_fault_event(&mut self, index: u32, start: bool, alive: &[ClusterId]) -> FaultAction {
+    /// Applies the event `(index, start)` of `plan` and returns what
+    /// the engine must execute. `alive` is the engine's alive-cluster
+    /// list in iteration order — both engines pass identical lists, so
+    /// the crash and partition resolutions match.
+    pub fn on_fault_event(
+        &mut self,
+        plan: &FaultPlan,
+        index: u32,
+        start: bool,
+        alive: &[ClusterId],
+    ) -> FaultAction {
         let i = index as usize;
-        let fault = self.plan.faults[i].clone();
-        match fault {
+        match plan.faults[i] {
             FaultSpec::CrashCluster { cluster_index, .. } => {
                 if alive.is_empty() {
                     return FaultAction::None;
@@ -495,7 +492,7 @@ impl FaultState {
             | FaultSpec::MessageDelay { .. }
             | FaultSpec::FlakyPartners { .. } => {
                 self.windows.active[i] = start;
-                self.recompute_windows();
+                self.recompute_windows(plan);
                 FaultAction::None
             }
         }
@@ -504,12 +501,12 @@ impl FaultState {
     /// Re-derives the effective probabilities from the active windows.
     /// Overlapping windows compose independently
     /// (`1 − Π(1 − qᵢ)`); delays sum their added latency.
-    fn recompute_windows(&mut self) {
+    fn recompute_windows(&mut self, plan: &FaultPlan) {
         let mut keep_drop = 1.0;
         let mut keep_delay = 1.0;
         let mut keep_flaky = 1.0;
         let mut delay_secs = 0.0;
-        for (i, fault) in self.plan.faults.iter().enumerate() {
+        for (i, fault) in plan.faults.iter().enumerate() {
             if !self.windows.active[i] {
                 continue;
             }
@@ -562,23 +559,27 @@ impl FaultState {
     }
 
     /// Restores the mutable state written by
-    /// [`FaultState::snap_state`] into a freshly built `FaultState`
-    /// (same plan, any seed — the RNG position is overwritten).
+    /// [`FaultState::snap_state`] into a `FaultState` freshly built for
+    /// `plan` (any seed — the RNG position is overwritten).
     #[allow(
         clippy::disallowed_methods,
         reason = "R1b seed root: a checkpoint restores the fault RNG position"
     )]
-    pub(crate) fn unsnap_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    pub(crate) fn unsnap_state(
+        &mut self,
+        plan: &FaultPlan,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapshotError> {
         let mut s = [0u64; 4];
         for word in &mut s {
             *word = r.u64("fault rng word")?;
         }
         self.rng = SpRng::from_state(s);
         let n = r.len("fault windows len")?;
-        if n != self.plan.faults.len() {
+        if n != plan.faults.len() {
             return Err(SnapshotError::Malformed(format!(
                 "snapshot has {n} fault windows but the plan has {}",
-                self.plan.faults.len()
+                plan.faults.len()
             )));
         }
         for i in 0..n {
@@ -604,22 +605,23 @@ impl FaultState {
                 set.push(r.u32("resolved partition cluster")?);
             }
         }
-        self.recompute_windows();
+        self.recompute_windows(plan);
         Ok(())
     }
 
-    /// Drives one client submission through timeout/retry/failover.
+    /// Drives one client submission through `plan`'s
+    /// timeout/retry/failover policy.
     ///
     /// `partners` is the size of the destination virtual super-peer.
     /// The fast path — no active loss window and no (applicable) flaky
     /// window — returns [`Submission::DIRECT`] without touching the
     /// RNG, so fault-free stretches of a run stay draw-free.
-    pub fn submit_query(&mut self, partners: usize) -> Submission {
+    pub fn submit_query(&mut self, plan: &FaultPlan, partners: usize) -> Submission {
         let flaky = if partners >= 2 { self.flaky_prob } else { 0.0 };
         if self.drop_prob == 0.0 && flaky == 0.0 {
             return Submission::DIRECT;
         }
-        let retry = self.plan.retry;
+        let retry = plan.retry;
         let attempts = 1 + retry.max_retries;
         let mut sub = Submission::DIRECT;
 
@@ -682,6 +684,7 @@ enum AttemptFate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_model::faults::RetryPolicy;
 
     fn plan_with(faults: Vec<FaultSpec>) -> FaultPlan {
         FaultPlan {
@@ -692,49 +695,44 @@ mod tests {
 
     #[test]
     fn inactive_state_is_draw_free() {
-        let mut fs = FaultState::new(FaultPlan::default(), 0);
-        assert!(!fs.is_active());
-        assert!(fs.rejoin_cap().is_none());
+        let plan = FaultPlan::default();
+        let mut fs = FaultState::new(&plan, 0);
+        assert!(FaultState::rejoin_cap(&plan).is_none());
         assert!(!fs.drops_possible());
         assert!(!fs.partitions_possible());
-        let sub = fs.submit_query(2);
+        let sub = fs.submit_query(&plan, 2);
         assert_eq!(sub, Submission::DIRECT);
-        assert!(fs.schedule().is_empty());
+        assert!(FaultState::schedule(&plan).is_empty());
     }
 
     #[test]
     fn schedule_emits_start_and_end_pairs() {
-        let fs = FaultState::new(
-            plan_with(vec![
-                FaultSpec::CrashFraction {
-                    at_secs: 10.0,
-                    fraction: 0.5,
-                },
-                FaultSpec::MessageLoss {
-                    from_secs: 5.0,
-                    until_secs: 20.0,
-                    drop_prob: 0.5,
-                },
-            ]),
-            7,
-        );
+        let plan = plan_with(vec![
+            FaultSpec::CrashFraction {
+                at_secs: 10.0,
+                fraction: 0.5,
+            },
+            FaultSpec::MessageLoss {
+                from_secs: 5.0,
+                until_secs: 20.0,
+                drop_prob: 0.5,
+            },
+        ]);
         assert_eq!(
-            fs.schedule(),
+            FaultState::schedule(&plan),
             vec![(0, 10.0, true), (1, 5.0, true), (1, 20.0, false)]
         );
     }
 
     #[test]
     fn crash_fraction_picks_distinct_clusters() {
-        let mut fs = FaultState::new(
-            plan_with(vec![FaultSpec::CrashFraction {
-                at_secs: 1.0,
-                fraction: 0.5,
-            }]),
-            42,
-        );
+        let plan = plan_with(vec![FaultSpec::CrashFraction {
+            at_secs: 1.0,
+            fraction: 0.5,
+        }]);
+        let mut fs = FaultState::new(&plan, 42);
         let alive: Vec<ClusterId> = (0..10).collect();
-        let FaultAction::Crash(victims) = fs.on_fault_event(0, true, &alive) else {
+        let FaultAction::Crash(victims) = fs.on_fault_event(&plan, 0, true, &alive) else {
             panic!("expected crash");
         };
         assert_eq!(victims.len(), 5);
@@ -748,14 +746,12 @@ mod tests {
     fn crash_picks_are_seed_deterministic() {
         let alive: Vec<ClusterId> = (0..16).collect();
         let pick = |seed| {
-            let mut fs = FaultState::new(
-                plan_with(vec![FaultSpec::CrashFraction {
-                    at_secs: 1.0,
-                    fraction: 0.25,
-                }]),
-                seed,
-            );
-            match fs.on_fault_event(0, true, &alive) {
+            let plan = plan_with(vec![FaultSpec::CrashFraction {
+                at_secs: 1.0,
+                fraction: 0.25,
+            }]);
+            let mut fs = FaultState::new(&plan, seed);
+            match fs.on_fault_event(&plan, 0, true, &alive) {
                 FaultAction::Crash(v) => v,
                 other => panic!("expected crash, got {other:?}"),
             }
@@ -766,59 +762,56 @@ mod tests {
 
     #[test]
     fn partition_window_blocks_then_releases() {
-        let mut fs = FaultState::new(
-            plan_with(vec![FaultSpec::Partition {
-                from_secs: 0.0,
-                until_secs: 10.0,
-                clusters: vec![1, 3],
-            }]),
-            0,
-        );
+        let plan = plan_with(vec![FaultSpec::Partition {
+            from_secs: 0.0,
+            until_secs: 10.0,
+            clusters: vec![1, 3],
+        }]);
+        let mut fs = FaultState::new(&plan, 0);
         let alive: Vec<ClusterId> = vec![10, 11, 12, 13];
-        assert_eq!(fs.on_fault_event(0, true, &alive), FaultAction::None);
+        assert_eq!(fs.on_fault_event(&plan, 0, true, &alive), FaultAction::None);
         assert!(fs.partitions_possible());
         assert!(fs.is_partitioned(11));
         assert!(fs.is_partitioned(13));
         assert!(!fs.is_partitioned(10));
-        assert_eq!(fs.on_fault_event(0, false, &alive), FaultAction::None);
+        assert_eq!(
+            fs.on_fault_event(&plan, 0, false, &alive),
+            FaultAction::None
+        );
         assert!(!fs.is_partitioned(11));
         assert!(!fs.partitions_possible());
     }
 
     #[test]
     fn loss_window_toggles_drop_probability() {
-        let mut fs = FaultState::new(
-            plan_with(vec![FaultSpec::MessageLoss {
-                from_secs: 0.0,
-                until_secs: 10.0,
-                drop_prob: 1.0,
-            }]),
-            0,
-        );
+        let plan = plan_with(vec![FaultSpec::MessageLoss {
+            from_secs: 0.0,
+            until_secs: 10.0,
+            drop_prob: 1.0,
+        }]);
+        let mut fs = FaultState::new(&plan, 0);
         assert!(!fs.drops_possible());
-        fs.on_fault_event(0, true, &[]);
+        fs.on_fault_event(&plan, 0, true, &[]);
         assert!(fs.drops_possible());
         assert!(fs.draw_drop(), "q=1 must always drop");
-        fs.on_fault_event(0, false, &[]);
+        fs.on_fault_event(&plan, 0, false, &[]);
         assert!(!fs.drops_possible());
     }
 
     #[test]
     fn certain_loss_exhausts_retry_then_failover() {
-        let mut fs = FaultState::new(
-            plan_with(vec![FaultSpec::MessageLoss {
-                from_secs: 0.0,
-                until_secs: 10.0,
-                drop_prob: 1.0,
-            }]),
-            0,
-        );
-        fs.on_fault_event(0, true, &[]);
-        let k1 = fs.submit_query(1);
+        let plan = plan_with(vec![FaultSpec::MessageLoss {
+            from_secs: 0.0,
+            until_secs: 10.0,
+            drop_prob: 1.0,
+        }]);
+        let mut fs = FaultState::new(&plan, 0);
+        fs.on_fault_event(&plan, 0, true, &[]);
+        let k1 = fs.submit_query(&plan, 1);
         assert_eq!(k1.outcome, QueryOutcome::Lost);
         assert_eq!(k1.primary_drops, 1 + RetryPolicy::default().max_retries);
         assert_eq!(k1.failover_drops, 0, "no failover without a second partner");
-        let k2 = fs.submit_query(2);
+        let k2 = fs.submit_query(&plan, 2);
         assert_eq!(k2.outcome, QueryOutcome::Lost);
         assert!(k2.failover_drops > 0);
         assert!(k2.wait_secs > k1.wait_secs);
@@ -826,19 +819,17 @@ mod tests {
 
     #[test]
     fn flaky_partner_forces_failover_for_k2_only() {
-        let mut fs = FaultState::new(
-            plan_with(vec![FaultSpec::FlakyPartners {
-                from_secs: 0.0,
-                until_secs: 10.0,
-                flake_prob: 1.0,
-            }]),
-            0,
-        );
-        fs.on_fault_event(0, true, &[]);
+        let plan = plan_with(vec![FaultSpec::FlakyPartners {
+            from_secs: 0.0,
+            until_secs: 10.0,
+            flake_prob: 1.0,
+        }]);
+        let mut fs = FaultState::new(&plan, 0);
+        fs.on_fault_event(&plan, 0, true, &[]);
         // k=1 clusters have no redundancy to be flaky about.
-        assert_eq!(fs.submit_query(1), Submission::DIRECT);
+        assert_eq!(fs.submit_query(&plan, 1), Submission::DIRECT);
         // k=2: with flake_prob 1 every attempt on both partners flakes.
-        let sub = fs.submit_query(2);
+        let sub = fs.submit_query(&plan, 2);
         assert_eq!(sub.outcome, QueryOutcome::Lost);
         assert!(sub.primary_flakes > 0 && sub.failover_flakes > 0);
     }
@@ -846,17 +837,15 @@ mod tests {
     #[test]
     fn submission_metrics_conserve() {
         let mut fm = FaultMetrics::default();
-        let mut fs = FaultState::new(
-            plan_with(vec![FaultSpec::MessageLoss {
-                from_secs: 0.0,
-                until_secs: 10.0,
-                drop_prob: 0.4,
-            }]),
-            9,
-        );
-        fs.on_fault_event(0, true, &[]);
+        let plan = plan_with(vec![FaultSpec::MessageLoss {
+            from_secs: 0.0,
+            until_secs: 10.0,
+            drop_prob: 0.4,
+        }]);
+        let mut fs = FaultState::new(&plan, 9);
+        fs.on_fault_event(&plan, 0, true, &[]);
         for _ in 0..500 {
-            let sub = fs.submit_query(2);
+            let sub = fs.submit_query(&plan, 2);
             fm.record_submission(&sub);
         }
         assert_eq!(fm.queries_issued, 500);
@@ -881,25 +870,23 @@ mod tests {
 
     #[test]
     fn overlapping_loss_windows_compose() {
-        let mut fs = FaultState::new(
-            plan_with(vec![
-                FaultSpec::MessageLoss {
-                    from_secs: 0.0,
-                    until_secs: 10.0,
-                    drop_prob: 0.5,
-                },
-                FaultSpec::MessageLoss {
-                    from_secs: 0.0,
-                    until_secs: 10.0,
-                    drop_prob: 0.5,
-                },
-            ]),
-            0,
-        );
-        fs.on_fault_event(0, true, &[]);
-        fs.on_fault_event(1, true, &[]);
+        let plan = plan_with(vec![
+            FaultSpec::MessageLoss {
+                from_secs: 0.0,
+                until_secs: 10.0,
+                drop_prob: 0.5,
+            },
+            FaultSpec::MessageLoss {
+                from_secs: 0.0,
+                until_secs: 10.0,
+                drop_prob: 0.5,
+            },
+        ]);
+        let mut fs = FaultState::new(&plan, 0);
+        fs.on_fault_event(&plan, 0, true, &[]);
+        fs.on_fault_event(&plan, 1, true, &[]);
         assert!((fs.drop_prob - 0.75).abs() < 1e-12);
-        fs.on_fault_event(0, false, &[]);
+        fs.on_fault_event(&plan, 0, false, &[]);
         assert!((fs.drop_prob - 0.5).abs() < 1e-12);
     }
 }

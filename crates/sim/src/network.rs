@@ -8,8 +8,48 @@
 
 use crate::counters::LoadCounters;
 use crate::events::{ClusterId, PeerId, SimTime};
+use sp_model::config::Config;
 use sp_model::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use sp_stats::SpRng;
+
+/// Slot counts a churn run reserves once, before bootstrap or a
+/// restore fills any slab, so no slab regrows while it is filled
+/// (DESIGN.md §11, "Storage sized once").
+///
+/// Computed from the run's [`Config`] alone; capacity is never
+/// serialized, so the plan moves no metric and no snapshot byte. A run
+/// that outgrows a slot count still runs: that slab grows on demand
+/// from the planned capacity.
+#[derive(Debug, Clone, Copy)]
+pub struct SlabPlan {
+    /// Peer slots. Each departure schedules exactly one replacement
+    /// arrival, so the slab never outgrows the bootstrap population:
+    /// `graph_size` give or take the per-cluster client draws, which
+    /// an eighth plus 64 covers.
+    pub(crate) peers: usize,
+    /// Cluster slots: the configured cluster count with the same
+    /// margin, for new super-peers and splits.
+    pub(crate) clusters: usize,
+    /// Pending events: a live peer holds at most one leave, one query
+    /// and one update timer, a departed peer's replacement arrival is
+    /// one event, and a cluster holds at most one adapt tick; the
+    /// peer-slot margin absorbs orphans' rejoin timers and recruit
+    /// timers.
+    pub(crate) events: usize,
+}
+
+impl SlabPlan {
+    /// The plan for a run of `config`.
+    pub(crate) fn for_config(config: &Config) -> SlabPlan {
+        let peers = config.graph_size + config.graph_size / 8 + 64;
+        let clusters = config.num_clusters() + config.num_clusters() / 8 + 16;
+        SlabPlan {
+            peers,
+            clusters,
+            events: 3 * peers + clusters,
+        }
+    }
+}
 
 /// A live peer.
 #[derive(Debug, Clone)]
@@ -95,9 +135,10 @@ pub struct SimNetwork {
     /// Traffic counters, parallel to `peers` and indexed by peer id.
     ///
     /// Kept out of [`SimPeer`] deliberately: charging is the hottest
-    /// path in the simulator, and a dense cache-line-aligned array
-    /// keeps a whole flood's charge set L1-resident instead of
-    /// scattering counters through the much larger peer slots. A freed
+    /// path in the simulator, and a dense array of cache-line-aligned
+    /// 64-byte records holds nothing a charge does not write, where
+    /// interleaving the counters with the 40-byte peer slots would put
+    /// peer data on the lines a flood charges. A freed
     /// slot's counters stay readable (departure accounting) until
     /// [`SimNetwork::add_peer`] recycles the slot and zeroes them.
     pub counters: Vec<LoadCounters>,
@@ -118,6 +159,21 @@ impl SimNetwork {
     /// Creates an empty network.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty network whose per-peer and per-cluster slabs
+    /// hold `plan`'s slot counts without regrowing.
+    pub(crate) fn with_capacity(plan: &SlabPlan) -> Self {
+        SimNetwork {
+            peers: Vec::with_capacity(plan.peers),
+            counters: Vec::with_capacity(plan.peers),
+            peer_generations: Vec::with_capacity(plan.peers),
+            clusters: Vec::with_capacity(plan.clusters),
+            cluster_generations: Vec::with_capacity(plan.clusters),
+            alive: Vec::with_capacity(plan.clusters),
+            alive_pos: Vec::with_capacity(plan.clusters),
+            ..Self::default()
+        }
     }
 
     // ---- peers ----
@@ -516,10 +572,14 @@ impl SimNetwork {
         }
     }
 
-    /// Reads a network written by [`SimNetwork::snap`].
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<SimNetwork, SnapshotError> {
+    /// Reads a network written by [`SimNetwork::snap`] into slabs that
+    /// hold at least `plan`'s slot counts.
+    pub(crate) fn unsnap(
+        r: &mut SnapReader<'_>,
+        plan: &SlabPlan,
+    ) -> Result<SimNetwork, SnapshotError> {
         let n_peers = r.len("peer slots len")?;
-        let mut peers = Vec::with_capacity(n_peers);
+        let mut peers = Vec::with_capacity(n_peers.max(plan.peers));
         for _ in 0..n_peers {
             if !r.bool("peer slot occupied")? {
                 peers.push(None);
@@ -539,7 +599,7 @@ impl SimNetwork {
             }));
         }
         let n_counters = r.len("counters len")?;
-        let mut counters = Vec::with_capacity(n_counters);
+        let mut counters = Vec::with_capacity(n_counters.max(plan.peers));
         for _ in 0..n_counters {
             counters.push(LoadCounters::unsnap(r)?);
         }
@@ -549,12 +609,12 @@ impl SimNetwork {
             free_peers.push(r.u32("free peer id")?);
         }
         let n_pgen = r.len("peer generations len")?;
-        let mut peer_generations = Vec::with_capacity(n_pgen);
+        let mut peer_generations = Vec::with_capacity(n_pgen.max(plan.peers));
         for _ in 0..n_pgen {
             peer_generations.push(r.u32("peer slot generation")?);
         }
         let n_clusters = r.len("cluster slots len")?;
-        let mut clusters = Vec::with_capacity(n_clusters);
+        let mut clusters = Vec::with_capacity(n_clusters.max(plan.clusters));
         for _ in 0..n_clusters {
             if !r.bool("cluster slot occupied")? {
                 clusters.push(None);
@@ -599,12 +659,12 @@ impl SimNetwork {
             free_clusters.push(r.u32("free cluster id")?);
         }
         let n_cgen = r.len("cluster generations len")?;
-        let mut cluster_generations = Vec::with_capacity(n_cgen);
+        let mut cluster_generations = Vec::with_capacity(n_cgen.max(plan.clusters));
         for _ in 0..n_cgen {
             cluster_generations.push(r.u32("cluster slot generation")?);
         }
         let n_alive = r.len("alive len")?;
-        let mut alive = Vec::with_capacity(n_alive);
+        let mut alive = Vec::with_capacity(n_alive.max(plan.clusters));
         for _ in 0..n_alive {
             let id = r.u32("alive cluster id")?;
             if id as usize >= clusters.len() {
@@ -616,7 +676,7 @@ impl SimNetwork {
             alive.push(id);
         }
         let n_alive_pos = r.len("alive_pos len")?;
-        let mut alive_pos = Vec::with_capacity(n_alive_pos);
+        let mut alive_pos = Vec::with_capacity(n_alive_pos.max(plan.clusters));
         for _ in 0..n_alive_pos {
             // NOT_ALIVE (usize::MAX) exceeds the payload size, so read
             // the raw u64 rather than the bounds-checked `len`.
@@ -693,6 +753,29 @@ impl SimNetwork {
             }
         }
         Ok(())
+    }
+
+    /// Every slab `plan` sizes: its name, capacity, and planned slot
+    /// count.
+    #[cfg(test)]
+    pub(crate) fn slab_capacities(&self, plan: &SlabPlan) -> [(&'static str, usize, usize); 7] {
+        [
+            ("net.peers", self.peers.capacity(), plan.peers),
+            ("net.counters", self.counters.capacity(), plan.peers),
+            (
+                "net.peer_generations",
+                self.peer_generations.capacity(),
+                plan.peers,
+            ),
+            ("net.clusters", self.clusters.capacity(), plan.clusters),
+            (
+                "net.cluster_generations",
+                self.cluster_generations.capacity(),
+                plan.clusters,
+            ),
+            ("net.alive", self.alive.capacity(), plan.clusters),
+            ("net.alive_pos", self.alive_pos.capacity(), plan.clusters),
+        ]
     }
 }
 

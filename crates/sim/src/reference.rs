@@ -41,7 +41,7 @@ use sp_stats::Poisson;
 use crate::engine::{sealed, AdmittedQuery, ChurnEngine, ForwardPolicy, Mechanics};
 use crate::events::{BinaryEventQueue, ClusterId, Event, PeerId, SimTime};
 use crate::metrics::{EventKind, ProfileTimer};
-use crate::network::SimNetwork;
+use crate::network::{SimNetwork, SlabPlan};
 
 /// The reference churn engine: the [`ChurnEngine`] core with
 /// [`ReferenceMechanics`]. Same behavior as
@@ -86,7 +86,8 @@ impl sealed::Sealed for ReferenceMechanics {}
 impl Mechanics for ReferenceMechanics {
     const ENGINE: u8 = ENGINE_REFERENCE;
 
-    fn fresh() -> Self {
+    /// The reference mechanics grow their queue and scratch on demand.
+    fn fresh(_: &SlabPlan) -> Self {
         Self::with_queue(BinaryEventQueue::new())
     }
 
@@ -236,7 +237,7 @@ impl Mechanics for ReferenceMechanics {
         self.queue.snap(w);
     }
 
-    fn unsnap_queue(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+    fn unsnap_queue(r: &mut SnapReader<'_>, _: &SlabPlan) -> Result<Self, SnapshotError> {
         Ok(Self::with_queue(BinaryEventQueue::unsnap(r)?))
     }
 
